@@ -76,6 +76,34 @@ class EntropyCurve:
         pos = w[w > 0.0]
         return float(-np.sum(pos * np.log2(pos))) + 0.0
 
+    def values(self, lams) -> np.ndarray:
+        """Entropy in bits at every weight of a 1-D array, in one pass.
+
+        Bitwise equal to ``[value(lam) for lam in lams]``: each row sums
+        the same positive terms, in the same order, as ``value`` does, and
+        numpy's summation order depends on the number of terms, so rows
+        are grouped by that number. Raises LambdaOutOfRange, naming the
+        first offending weight, if any weight lies outside [0, 1].
+        """
+        lams = np.asarray(lams, dtype=np.float64).reshape(-1)
+        outside = ~((lams >= 0.0) & (lams <= 1.0))
+        if outside.any():
+            raise LambdaOutOfRange(float(lams[outside][0]), "[0, 1]")
+        w = np.multiply.outer(lams, self.spectrum.shifted()) + 1.0 / self.dimension
+        positive = w > 0.0
+        safe = np.where(positive, w, 1.0)
+        terms = safe * np.log2(safe)
+        counts = positive.sum(axis=1)
+        if (counts < self.dimension).any():
+            # move each row's positive terms to its front, keeping their order
+            order = np.argsort(~positive, axis=1, kind="stable")
+            terms = np.take_along_axis(terms, order, axis=1)
+        out = np.empty(lams.shape[0])
+        for k in set(counts.tolist()):
+            rows = counts == k
+            out[rows] = -terms[rows, :k].sum(axis=1)
+        return out + 0.0
+
     def derivative(self, lam: float) -> float:
         """First derivative: -sum_i u_i log2(lam * u_i + 1/n).
 

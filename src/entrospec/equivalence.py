@@ -170,11 +170,9 @@ def _gap_report(
     curve_a = EntropyCurve(spec_a)
     curve_b = EntropyCurve(spec_b)
 
-    gaps = tuple(
-        (float(lam), abs(curve_a.value(float(lam)) - curve_b.value(float(lam))))
-        for lam in nodes
-    )
-    max_gap = max(g for _, g in gaps)
+    gap_values = np.abs(curve_a.values(nodes) - curve_b.values(nodes))
+    gaps = tuple(zip(nodes.tolist(), gap_values.tolist()))
+    max_gap = float(np.max(gap_values))
     equivalent = max_gap <= cfg.entropy_tol
 
     witness = None

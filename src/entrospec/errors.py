@@ -15,6 +15,17 @@ class ValidationError(EntrospecError):
     """A density-matrix invariant failed."""
 
 
+class NotFinite(ValidationError):
+    def __init__(self, count: int, first: tuple[int, int], value: complex):
+        self.count = count
+        self.first = first
+        self.value = value
+        super().__init__(
+            f"matrix has {count} non-finite entries; the first is "
+            f"{value!r} at {first}"
+        )
+
+
 class NotHermitian(ValidationError):
     def __init__(self, residual: float, tol: float):
         self.residual = residual

@@ -1,14 +1,20 @@
 """Density matrices, their validation, and eigendecomposition.
 
-The eigensolver is a hand-rolled cyclic Jacobi iteration for complex
-Hermitian matrices. Dimensions in this package are small (n <= 16 in
-practice), where Jacobi is simple, accurate to machine precision, and
-produces orthonormal eigenvectors without balancing heuristics.
+Each state is decomposed once, by LAPACK through ``np.linalg.eigh``, the
+first time anything asks for its eigenvalues (validation does, for the PSD
+check). The result is cached on the state, and ``validate_state`` makes
+the matrix read-only so the cache cannot go stale; spectra, eigenbases,
+entropies, curves and unitary witnesses all read that one decomposition.
+
+``jacobi_eigh``, a hand-rolled cyclic Jacobi iteration for complex
+Hermitian matrices, is kept as the independent reference that the tests
+and the selftest check the LAPACK path against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     LambdaOutOfRange,
     NoConvergence,
+    NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
     SingularSample,
@@ -28,7 +35,11 @@ ComplexMatrix = np.ndarray
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds for state validation and eigensolves."""
+    """Numerical thresholds for state validation and eigensolves.
+
+    ``eig_tol`` and ``max_sweeps`` steer ``jacobi_eigh`` only; the cached
+    LAPACK decomposition that states use has no such knobs.
+    """
 
     herm_tol: float = 1e-10
     psd_tol: float = 1e-9
@@ -72,7 +83,12 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """A validated density matrix together with its dimension."""
+    """A validated density matrix together with its dimension.
+
+    The eigensystem is computed on first use and cached, so the matrix
+    must not change afterwards; ``validate_state`` hands out a read-only
+    matrix to enforce that.
+    """
 
     matrix: ComplexMatrix = field(repr=False)
     dimension: int
@@ -84,17 +100,35 @@ class QuantumState:
                 f"dimension {self.dimension}"
             )
 
+    @cached_property
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues descending and matching eigenvector columns, read-only."""
+        values, vectors = np.linalg.eigh(self.matrix)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
+
 
 def validate_state(data, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> QuantumState:
     """Check density-matrix invariants and return a validated state.
 
     Checks run in a fixed order so error reporting is deterministic:
-    Hermiticity first, then unit trace, then positive semidefiniteness.
-    A matrix within ``herm_tol`` of Hermitian is symmetrized to
-    (M + M^*) / 2 before further checks, so downstream code always sees
-    an exactly Hermitian matrix.
+    finite entries first (NaN fails every comparison below, so it would
+    otherwise pass them all), then Hermiticity, then unit trace, then
+    positive semidefiniteness. A matrix within ``herm_tol`` of Hermitian
+    is symmetrized to (M + M^*) / 2 before further checks, so downstream
+    code always sees an exactly Hermitian matrix. The stored matrix is
+    read-only, and the eigendecomposition made for the PSD check stays
+    cached on the returned state.
     """
     m = as_complex_matrix(data)
+
+    finite = np.isfinite(m)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        first = (int(bad[0][0]), int(bad[0][1]))
+        raise NotFinite(len(bad), first, complex(m[first]))
 
     herm_residual = float(np.max(np.abs(m - m.conj().T)))
     if herm_residual > tol.herm_tol:
@@ -105,12 +139,13 @@ def validate_state(data, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> QuantumSt
     if abs(trace - 1.0) > tol.trace_tol:
         raise TraceNotOne(trace, tol.trace_tol)
 
-    eigenvalues, _ = jacobi_eigh(m, tol)
-    min_eig = float(np.min(eigenvalues))
+    m.setflags(write=False)
+    state = QuantumState(matrix=m, dimension=m.shape[0])
+    min_eig = float(state._eigensystem[0][-1])
     if min_eig < -tol.psd_tol:
         raise NotPositiveSemidefinite(min_eig, tol.psd_tol)
 
-    return QuantumState(matrix=m, dimension=m.shape[0])
+    return state
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -203,24 +238,25 @@ def hermitian_spectrum(
     Clamping removes the tiny negative round-off a PSD check already
     bounded by ``psd_tol``; renormalization restores an exact unit sum so
     entropy formulas downstream see a genuine probability vector.
+    Clamping and scaling keep the cached descending order.
     """
-    values, _ = jacobi_eigh(state.matrix, tol)
+    values, _ = state._eigensystem
     clamped = np.clip(values, 0.0, 1.0)
     total = float(np.sum(clamped))
     if total <= 0.0:
-        raise NotPositiveSemidefinite(float(np.min(values)), tol.psd_tol)
+        raise NotPositiveSemidefinite(float(values[-1]), tol.psd_tol)
     clamped = clamped / total
-    ordered = np.sort(clamped)[::-1]
-    return Spectrum(values=tuple(float(x) for x in ordered))
+    return Spectrum(values=tuple(clamped.tolist()))
 
 
 def hermitian_eigensystem(
     state: QuantumState, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns."""
-    values, vectors = jacobi_eigh(state.matrix, tol)
-    order = np.argsort(values)[::-1]
-    return values[order], vectors[:, order]
+    """Eigenvalues (descending) and matching eigenvector columns.
+
+    Both arrays are the state's cached, read-only decomposition.
+    """
+    return state._eigensystem
 
 
 def random_state(n: int, rng: np.random.Generator) -> QuantumState:

@@ -92,6 +92,43 @@ class TestEntropyCurveValue:
             curve.value(1.5)
 
 
+def _low_rank_spectrum(n, rank, rng) -> Spectrum:
+    top = rng.uniform(0.1, 1.0, size=rank)
+    values = np.concatenate([np.sort(top / top.sum())[::-1], np.zeros(n - rank)])
+    return Spectrum(values=tuple(values.tolist()))
+
+
+class TestEntropyCurveValues:
+    """The one-pass array evaluator against the scalar ``value``."""
+
+    def test_bitwise_equal_to_value(self, rng):
+        # numpy sums 8 or more terms pairwise, fewer in sequence
+        spectra = [
+            hermitian_spectrum(random_state(n, rng)) for n in (1, 2, 3, 7, 8, 9, 16, 17)
+        ]
+        spectra += [
+            _low_rank_spectrum(n, r, rng)
+            for n, r in ((2, 1), (4, 2), (9, 3), (16, 5), (16, 15))
+        ]
+        spectra += [Spectrum(values=(1.0, 0.0, 0.0)), Spectrum(values=(0.25,) * 4)]
+        # out of the usual descending order, zeros first
+        spectra += [Spectrum(values=(0.0, 0.25, 0.0, 0.75))]
+        # lam = 1 is where zero eigenvalues make the mixed spectrum singular
+        lams = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 29), [1.0, 0.0]])
+        for spectrum in spectra:
+            curve = EntropyCurve(spectrum)
+            expected = np.array([curve.value(float(lam)) for lam in lams])
+            got = curve.values(lams)
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan, math.inf])
+    def test_domain_check(self, bad):
+        curve = EntropyCurve(Spectrum(values=(0.5, 0.5)))
+        with pytest.raises(LambdaOutOfRange) as info:
+            curve.values([0.0, 0.5, bad, 1.0])
+        assert info.value.lam == bad or (math.isnan(bad) and math.isnan(info.value.lam))
+
+
 class TestEntropyCurveDerivatives:
     def test_derivative_zero_at_origin(self, rng):
         for _ in range(5):

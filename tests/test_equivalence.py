@@ -3,6 +3,7 @@ import pytest
 
 from entrospec import (
     EquivalenceConfig,
+    curve_for_state,
     decide_grid,
     decide_nodes,
     decide_spectral,
@@ -10,6 +11,7 @@ from entrospec import (
     depolarize,
     equal_entropy_pair,
     hermitian_spectrum,
+    oracle_from_state,
     random_state,
     random_unitary,
     spectral_equivalent,
@@ -17,6 +19,7 @@ from entrospec import (
     validate_state,
     von_neumann_entropy,
 )
+from entrospec import states
 from entrospec.errors import (
     BadNodeCount,
     DimensionMismatch,
@@ -264,3 +267,35 @@ def test_depolarized_pairs_preserve_equivalence(rng):
     state = random_state(3, rng)
     rotated = conjugate(state, random_unitary(3, rng))
     assert decide_nodes(depolarize(state, 0.6), depolarize(rotated, 0.6)).equivalent
+
+
+def test_one_eigensolve_per_state(rng, monkeypatch):
+    # validation decomposes each state once; everything after reads that
+    rho = validate_state(random_state(8, rng).matrix)
+    sigma = conjugate(rho, random_unitary(8, rng))
+    other = validate_state(random_state(8, rng).matrix)
+
+    calls = []
+
+    def counting(name, solver):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(states, "jacobi_eigh", counting("jacobi", states.jacobi_eigh))
+
+    for decide in (decide_nodes, decide_grid, decide_spectral):
+        assert decide(rho, sigma).witness is not None
+        assert not decide(rho, other).equivalent
+    unitary_witness(rho, sigma)
+    von_neumann_entropy(rho)
+    curve_for_state(rho).values(default_nodes(8))
+    oracle_from_state(rho).value_fn(0.5)
+    assert calls == []
+
+    # the counters do see the solve of a state not yet decomposed
+    validate_state(rho.matrix)
+    assert calls == ["eigh"]

@@ -3,10 +3,12 @@ import pytest
 
 from entrospec import (
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
     Spectrum,
     TraceNotOne,
+    ValidationError,
     as_complex_matrix,
     check_same_dimension,
     depolarize,
@@ -49,6 +51,35 @@ class TestValidateState:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             validate_state(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entry(self, entry):
+        # NaN fails every comparison, so without this check it would pass
+        # the Hermitian, trace and PSD tests
+        m = np.eye(3, dtype=np.complex128) / 3
+        m[1, 2] = entry
+        with pytest.raises(NotFinite) as info:
+            validate_state(m)
+        assert isinstance(info.value, ValidationError)
+        assert info.value.count == 1
+        assert info.value.first == (1, 2)
+
+    def test_non_finite_check_runs_first(self):
+        # also not Hermitian and not of unit trace
+        m = np.array([[np.inf, 1.0], [0.0, 5.0]])
+        with pytest.raises(NotFinite):
+            validate_state(m)
+
+    def test_stored_matrix_is_read_only(self):
+        # the state caches its eigensystem, so its matrix must not change
+        state = validate_state(np.eye(2) / 2)
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 1.0
+
+    def test_does_not_freeze_the_callers_array(self):
+        m = np.eye(2, dtype=np.complex128) / 2
+        validate_state(m)
+        m[0, 0] = 0.25  # must not raise
 
     def test_error_messages_carry_residuals(self):
         try:
@@ -98,6 +129,50 @@ class TestJacobiEigensolver:
         np.testing.assert_allclose(values, [0.25, 0.75], atol=1e-14)
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         np.testing.assert_allclose(rebuilt, m, atol=1e-14)
+
+
+def _conjugated_diagonal(values, rng) -> np.ndarray:
+    n = len(values)
+    u = random_unitary(n, rng)
+    return u @ np.diag(np.asarray(values, dtype=np.complex128)) @ u.conj().T
+
+
+def _near_pure_spectrum(n, rng) -> np.ndarray:
+    tiny = 10.0 ** rng.uniform(-14.0, -6.0, size=n - 1)
+    return np.concatenate([[1.0 - tiny.sum()], tiny])
+
+
+def _degenerate_spectrum(n, rng) -> np.ndarray:
+    # at most three distinct levels, so most eigenvalues are repeated
+    levels = rng.uniform(0.1, 1.0, size=3)
+    values = levels[rng.integers(0, 3, size=n)]
+    return values / values.sum()
+
+
+class TestCachedEigensystem:
+    """The LAPACK decomposition states cache, against the Jacobi reference."""
+
+    @pytest.mark.parametrize("family", ["ginibre", "near_pure", "degenerate"])
+    def test_matches_jacobi_and_reconstructs(self, rng, family):
+        for n in range(2, 17):
+            if family == "ginibre":
+                m = random_state(n, rng).matrix
+            elif family == "near_pure":
+                m = _conjugated_diagonal(_near_pure_spectrum(n, rng), rng)
+            else:
+                m = _conjugated_diagonal(_degenerate_spectrum(n, rng), rng)
+            state = validate_state(m)
+            values, vectors = hermitian_eigensystem(state)
+            reference, _ = jacobi_eigh(state.matrix)
+            assert np.max(np.abs(values[::-1] - reference)) <= 1e-12
+            rebuilt = (vectors * values) @ vectors.conj().T
+            assert np.max(np.abs(rebuilt - state.matrix)) <= 1e-13
+
+    def test_returned_arrays_are_read_only(self, rng):
+        values, vectors = hermitian_eigensystem(validate_state(random_state(4, rng).matrix))
+        for cached in (values, vectors):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
 
 
 class TestHermitianSpectrum:
