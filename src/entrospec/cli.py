@@ -19,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,27 +57,6 @@ EXIT_RECOVERY = 4
 EXIT_SELFTEST = 5
 
 _RECOVERY_ERRORS = (OracleDomain, IllConditioned, ComplexRoots, DegreeDeficit)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, resolved from flags and env."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    output: Optional[str] = None
-    mode: str = "t2"
-    derivative: str = "analytic"
-    grid_limit: float = 0.9
-    grid_points: int = 64
-    nodes: Optional[tuple[float, ...]] = None
-    entropy_tol: float = 1e-9
-    spectrum_tol: float = 1e-8
-    lambda_max: Optional[float] = None
-    fd_step: Optional[float] = None
-    coeff_trim_tol: Optional[float] = None
-    root_imag_tol: Optional[float] = None
-    seed: int = 42
 
 
 def resolve_seed(flag: Optional[int], env: Mapping[str, str]) -> int:
@@ -121,13 +99,15 @@ def _build_parser() -> _Parser:
     p_equiv.add_argument("--mode", choices=("spectral", "t1", "t2"), default="t2",
                          help="spectral oracle, dense-grid curve comparison (t1), "
                               "or 2n-node comparison (t2)")
-    p_equiv.add_argument("--a", type=float, default=0.9, dest="grid_limit",
-                         help="grid upper bound for --mode t1")
-    p_equiv.add_argument("--points", type=int, default=64, dest="grid_points")
+    p_equiv.add_argument("--a", type=float, default=EquivalenceConfig.grid_limit,
+                         dest="grid_limit", help="grid upper bound for --mode t1")
+    p_equiv.add_argument("--points", type=int, default=EquivalenceConfig.grid_points,
+                         dest="grid_points")
     p_equiv.add_argument("--nodes", type=float, nargs="+",
                          help="explicit 2n node weights for --mode t2")
-    p_equiv.add_argument("--entropy-tol", type=float, default=1e-9)
-    p_equiv.add_argument("--spectrum-tol", type=float, default=1e-8)
+    p_equiv.add_argument("--entropy-tol", type=float, default=EquivalenceConfig.entropy_tol)
+    p_equiv.add_argument("--spectrum-tol", type=float,
+                         default=EquivalenceConfig.spectrum_tol)
 
     p_recover = sub.add_parser("recover", help="recover the spectrum from entropy values")
     p_recover.add_argument("state_file")
@@ -142,36 +122,10 @@ def _build_parser() -> _Parser:
     p_selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
     p_selftest.add_argument("--seed", type=int, default=None,
                             help="RNG seed; falls back to ENTROSPEC_SEED, then 42")
-    p_selftest.add_argument("--entropy-tol", type=float, default=1e-9)
+    p_selftest.add_argument("--entropy-tol", type=float,
+                            default=EquivalenceConfig.entropy_tol)
 
     return parser
-
-
-def _run_config(args: argparse.Namespace, env: Mapping[str, str]) -> RunConfig:
-    command = args.command
-    inputs: tuple[str, ...] = ()
-    if command in ("entropy", "curve", "recover"):
-        inputs = (args.state_file,)
-    elif command == "equiv":
-        inputs = (args.state_file_a, args.state_file_b)
-    nodes = getattr(args, "nodes", None)
-    return RunConfig(
-        command=command,
-        inputs=inputs,
-        output=getattr(args, "out", None),
-        mode=getattr(args, "mode", "t2"),
-        derivative=getattr(args, "derivative", "analytic"),
-        grid_limit=getattr(args, "grid_limit", getattr(args, "a", 0.9)),
-        grid_points=getattr(args, "grid_points", getattr(args, "points", 64)),
-        nodes=tuple(nodes) if nodes else None,
-        entropy_tol=getattr(args, "entropy_tol", 1e-9),
-        spectrum_tol=getattr(args, "spectrum_tol", 1e-8),
-        lambda_max=getattr(args, "lambda_max", None),
-        fd_step=getattr(args, "fd_step", None),
-        coeff_trim_tol=getattr(args, "coeff_trim_tol", None),
-        root_imag_tol=getattr(args, "root_imag_tol", None),
-        seed=resolve_seed(getattr(args, "seed", None), env),
-    )
 
 
 def _load_state(path: str) -> QuantumState:
@@ -182,8 +136,8 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _cmd_entropy(cfg: RunConfig) -> int:
-    state = _load_state(cfg.inputs[0])
+def _cmd_entropy(args: argparse.Namespace) -> int:
+    state = _load_state(args.state_file)
     spectrum = hermitian_spectrum(state)
     _emit(
         {
@@ -199,17 +153,17 @@ def _csv_cell(value: Optional[float]) -> str:
     return "" if value is None else repr(value)
 
 
-def _cmd_curve(cfg: RunConfig) -> int:
-    if not 0.0 < cfg.grid_limit <= 1.0:
-        raise ParseError(f"--a must be in (0, 1], got {cfg.grid_limit}")
-    if cfg.grid_points < 2:
-        raise ParseError(f"--points must be >= 2, got {cfg.grid_points}")
-    state = _load_state(cfg.inputs[0])
+def _cmd_curve(args: argparse.Namespace) -> int:
+    if not 0.0 < args.a <= 1.0:
+        raise ParseError(f"--a must be in (0, 1], got {args.a}")
+    if args.points < 2:
+        raise ParseError(f"--points must be >= 2, got {args.points}")
+    state = _load_state(args.state_file)
     curve = EntropyCurve(hermitian_spectrum(state))
 
     rows = []
-    for j in range(cfg.grid_points):
-        lam = cfg.grid_limit * j / (cfg.grid_points - 1)
+    for j in range(args.points):
+        lam = args.a * j / (args.points - 1)
         entropy = curve.value(lam)
         try:
             derivative: Optional[float] = curve.derivative(lam)
@@ -220,7 +174,7 @@ def _cmd_curve(cfg: RunConfig) -> int:
         )
         rows.append((lam, entropy, derivative, log2_det))
 
-    with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("lambda,entropy_bits,f_prime,log2_p\n")
         for lam, entropy, derivative, log2_det in rows:
             handle.write(
@@ -233,9 +187,9 @@ def _cmd_curve(cfg: RunConfig) -> int:
     _emit(
         {
             "n": state.dimension,
-            "points": cfg.grid_points,
-            "a": cfg.grid_limit,
-            "out": cfg.output,
+            "points": args.points,
+            "a": args.a,
+            "out": args.out,
         }
     )
     return EXIT_OK
@@ -244,39 +198,39 @@ def _cmd_curve(cfg: RunConfig) -> int:
 _DECIDERS = {"spectral": decide_spectral, "t1": decide_grid, "t2": decide_nodes}
 
 
-def _cmd_equiv(cfg: RunConfig) -> int:
-    rho = _load_state(cfg.inputs[0])
-    sigma = _load_state(cfg.inputs[1])
+def _cmd_equiv(args: argparse.Namespace) -> int:
+    rho = _load_state(args.state_file_a)
+    sigma = _load_state(args.state_file_b)
     eq_cfg = EquivalenceConfig(
-        grid_limit=cfg.grid_limit,
-        grid_points=cfg.grid_points,
-        nodes=cfg.nodes,
-        entropy_tol=cfg.entropy_tol,
-        spectrum_tol=cfg.spectrum_tol,
+        grid_limit=args.grid_limit,
+        grid_points=args.grid_points,
+        nodes=args.nodes,
+        entropy_tol=args.entropy_tol,
+        spectrum_tol=args.spectrum_tol,
     )
-    report = _DECIDERS[cfg.mode](rho, sigma, eq_cfg)
+    report = _DECIDERS[args.mode](rho, sigma, eq_cfg)
     payload = {"n": rho.dimension}
     payload.update(report.to_dict())
     _emit(payload)
     return EXIT_OK if report.equivalent else EXIT_NOT_EQUIVALENT
 
 
-def _cmd_recover(cfg: RunConfig) -> int:
-    state = _load_state(cfg.inputs[0])
+def _cmd_recover(args: argparse.Namespace) -> int:
+    state = _load_state(args.state_file)
     n = state.dimension
     rec_cfg = (
-        RecoveryConfig(nodes=cfg.nodes) if cfg.nodes else default_recovery_config(n)
+        RecoveryConfig(nodes=args.nodes) if args.nodes else default_recovery_config(n)
     )
     overrides = {
-        name: getattr(cfg, name)
+        name: getattr(args, name)
         for name in ("lambda_max", "fd_step", "coeff_trim_tol", "root_imag_tol")
-        if getattr(cfg, name) is not None
+        if getattr(args, name) is not None
     }
     if overrides:
         rec_cfg = dataclasses.replace(rec_cfg, **overrides)
 
     truth = hermitian_spectrum(state)
-    oracle = oracle_from_state(state, include_derivative=cfg.derivative == "analytic")
+    oracle = oracle_from_state(state, include_derivative=args.derivative == "analytic")
     result = recover_spectrum(oracle, rec_cfg)
     error = float(
         np.max(np.abs(np.asarray(result.values) - truth.as_array()))
@@ -284,7 +238,7 @@ def _cmd_recover(cfg: RunConfig) -> int:
     _emit(
         {
             "n": n,
-            "derivative": cfg.derivative,
+            "derivative": args.derivative,
             "recovered_spectrum": list(result.values),
             "true_spectrum": list(truth.values),
             "linf_error": error,
@@ -296,16 +250,17 @@ def _cmd_recover(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
-    results = run_selftest(cfg.seed, cfg.entropy_tol)
+def _cmd_selftest(args: argparse.Namespace) -> int:
+    seed = resolve_seed(args.seed, os.environ)
+    results = run_selftest(seed, args.entropy_tol)
     for res in results:
         status = "ok" if res.passed else "FAIL"
         print(f"{status:4s} {res.name} (residual {res.max_residual:.3e})", file=sys.stderr)
     all_passed = all(res.passed for res in results)
     _emit(
         {
-            "seed": cfg.seed,
-            "entropy_tol": cfg.entropy_tol,
+            "seed": seed,
+            "entropy_tol": args.entropy_tol,
             "all_passed": all_passed,
             "properties": [res.to_dict() for res in results],
         }
@@ -325,8 +280,7 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _run_config(args, os.environ)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except DimensionMismatch as exc:
         print(f"entrospec: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

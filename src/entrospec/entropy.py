@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LambdaOutOfRange, SingularEndpoint
-from .states import (
-    DEFAULT_TOLERANCES,
-    QuantumState,
-    Spectrum,
-    ToleranceConfig,
-    hermitian_spectrum,
-)
+from .states import QuantumState, Spectrum, hermitian_spectrum
 
 _LN2 = float(np.log(2.0))
 
@@ -41,11 +35,9 @@ def entropy_of_spectrum(spectrum: Spectrum) -> float:
     return float(-np.sum(pos * np.log2(pos))) + 0.0
 
 
-def von_neumann_entropy(
-    state: QuantumState, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> float:
+def von_neumann_entropy(state: QuantumState) -> float:
     """Entropy of a state in bits, via its eigendecomposition."""
-    return entropy_of_spectrum(hermitian_spectrum(state, tol))
+    return entropy_of_spectrum(hermitian_spectrum(state))
 
 
 @dataclass(frozen=True)
@@ -148,10 +140,8 @@ class EntropyCurve:
         return w
 
 
-def curve_for_state(
-    state: QuantumState, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> EntropyCurve:
-    return EntropyCurve(spectrum=hermitian_spectrum(state, tol))
+def curve_for_state(state: QuantumState) -> EntropyCurve:
+    return EntropyCurve(spectrum=hermitian_spectrum(state))
 
 
 @dataclass(frozen=True)

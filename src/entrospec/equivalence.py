@@ -118,24 +118,22 @@ def default_nodes(n: int) -> tuple[float, ...]:
     return tuple(i / (2 * n) for i in range(1, 2 * n + 1))
 
 
-def spectral_equivalent(
-    rho: QuantumState,
-    sigma: QuantumState,
-    tol: float,
-    tols: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> bool:
-    """True iff the sorted spectra agree entrywise within tol."""
-    check_same_dimension(rho, sigma)
-    sa = hermitian_spectrum(rho, tols).as_array()
-    sb = hermitian_spectrum(sigma, tols).as_array()
-    return float(np.max(np.abs(sa - sb))) <= tol
+def _sorted_distance(spec_a: Spectrum, spec_b: Spectrum) -> float:
+    """Largest entrywise gap between two descending spectra."""
+    return float(np.max(np.abs(spec_a.as_array() - spec_b.as_array())))
+
+
+def _eigenbasis_map(rho: QuantumState, sigma: QuantumState) -> np.ndarray:
+    """U = V_rho V_sigma*, mapping sigma's k-th eigenvector onto rho's."""
+    _, vectors_rho = hermitian_eigensystem(rho)
+    _, vectors_sigma = hermitian_eigensystem(sigma)
+    return vectors_rho @ vectors_sigma.conj().T
 
 
 def unitary_witness(
     rho: QuantumState,
     sigma: QuantumState,
-    spectrum_tol: float = 1e-8,
-    tols: ToleranceConfig = DEFAULT_TOLERANCES,
+    spectrum_tol: float = EquivalenceConfig.spectrum_tol,
 ) -> np.ndarray:
     """Construct U with rho = U sigma U*, given matching spectra.
 
@@ -146,41 +144,41 @@ def unitary_witness(
     permutation, is the contract.
     """
     check_same_dimension(rho, sigma)
-    sa = hermitian_spectrum(rho, tols).as_array()
-    sb = hermitian_spectrum(sigma, tols).as_array()
-    distance = float(np.max(np.abs(sa - sb)))
+    distance = _sorted_distance(hermitian_spectrum(rho), hermitian_spectrum(sigma))
     if distance > spectrum_tol:
         raise SpectraMismatch(distance, spectrum_tol)
-    _, vectors_rho = hermitian_eigensystem(rho, tols)
-    _, vectors_sigma = hermitian_eigensystem(sigma, tols)
-    return vectors_rho @ vectors_sigma.conj().T
+    return _eigenbasis_map(rho, sigma)
 
 
-def _gap_report(
+def _decide(
     rho: QuantumState,
     sigma: QuantumState,
-    nodes: np.ndarray,
     method: str,
     cfg: EquivalenceConfig,
-    tols: ToleranceConfig,
+    nodes: np.ndarray | None = None,
 ) -> EquivalenceReport:
-    """Shared body of the two entropy-gap deciders."""
-    spec_a = hermitian_spectrum(rho, tols)
-    spec_b = hermitian_spectrum(sigma, tols)
-    curve_a = EntropyCurve(spec_a)
-    curve_b = EntropyCurve(spec_b)
+    """The one decision body: each spectrum is read once.
 
-    gap_values = np.abs(curve_a.values(nodes) - curve_b.values(nodes))
-    gaps = tuple(zip(nodes.tolist(), gap_values.tolist()))
-    max_gap = float(np.max(gap_values))
-    equivalent = max_gap <= cfg.entropy_tol
+    Without nodes the verdict is the sorted-spectrum comparison itself;
+    with nodes it is the entropy-gap comparison at those weights, and an
+    equivalent verdict whose spectra disagree raises WitnessInconsistency.
+    """
+    spec_a = hermitian_spectrum(rho)
+    spec_b = hermitian_spectrum(sigma)
+    distance = _sorted_distance(spec_a, spec_b)
 
-    witness = None
-    if equivalent:
-        distance = float(np.max(np.abs(spec_a.as_array() - spec_b.as_array())))
-        if distance > cfg.spectrum_tol:
+    if nodes is None:
+        max_gap, gaps = 0.0, ()
+        equivalent = distance <= cfg.spectrum_tol
+    else:
+        gap_values = np.abs(
+            EntropyCurve(spec_a).values(nodes) - EntropyCurve(spec_b).values(nodes)
+        )
+        gaps = tuple(zip(nodes.tolist(), gap_values.tolist()))
+        max_gap = float(np.max(gap_values))
+        equivalent = max_gap <= cfg.entropy_tol
+        if equivalent and distance > cfg.spectrum_tol:
             raise WitnessInconsistency(max_gap, distance)
-        witness = unitary_witness(rho, sigma, cfg.spectrum_tol, tols)
 
     return EquivalenceReport(
         verdict=EQUIVALENT if equivalent else NOT_EQUIVALENT,
@@ -189,7 +187,7 @@ def _gap_report(
         per_node_gaps=gaps,
         spectrum_a=spec_a.values,
         spectrum_b=spec_b.values,
-        witness=witness,
+        witness=_eigenbasis_map(rho, sigma) if equivalent else None,
         entropy_tol=cfg.entropy_tol,
         spectrum_tol=cfg.spectrum_tol,
     )
@@ -199,7 +197,6 @@ def decide_spectral(
     rho: QuantumState,
     sigma: QuantumState,
     cfg: EquivalenceConfig = EquivalenceConfig(),
-    tols: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> EquivalenceReport:
     """Equivalence by direct sorted-spectrum comparison.
 
@@ -207,31 +204,13 @@ def decide_spectral(
     max_entropy_gap is reported as 0.0.
     """
     check_same_dimension(rho, sigma)
-    spec_a = hermitian_spectrum(rho, tols)
-    spec_b = hermitian_spectrum(sigma, tols)
-    distance = float(np.max(np.abs(spec_a.as_array() - spec_b.as_array())))
-    equivalent = distance <= cfg.spectrum_tol
-    witness = (
-        unitary_witness(rho, sigma, cfg.spectrum_tol, tols) if equivalent else None
-    )
-    return EquivalenceReport(
-        verdict=EQUIVALENT if equivalent else NOT_EQUIVALENT,
-        method="spectral",
-        max_entropy_gap=0.0,
-        per_node_gaps=(),
-        spectrum_a=spec_a.values,
-        spectrum_b=spec_b.values,
-        witness=witness,
-        entropy_tol=cfg.entropy_tol,
-        spectrum_tol=cfg.spectrum_tol,
-    )
+    return _decide(rho, sigma, "spectral", cfg)
 
 
 def decide_grid(
     rho: QuantumState,
     sigma: QuantumState,
     cfg: EquivalenceConfig = EquivalenceConfig(),
-    tols: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> EquivalenceReport:
     """Equivalence by entropy-curve agreement on a dense interior grid.
 
@@ -244,14 +223,13 @@ def decide_grid(
     check_same_dimension(rho, sigma)
     m = cfg.grid_points
     nodes = cfg.grid_limit * np.arange(1, m + 1) / (m + 1)
-    return _gap_report(rho, sigma, nodes, "grid", cfg, tols)
+    return _decide(rho, sigma, "grid", cfg, nodes)
 
 
 def decide_nodes(
     rho: QuantumState,
     sigma: QuantumState,
     cfg: EquivalenceConfig = EquivalenceConfig(),
-    tols: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> EquivalenceReport:
     """Equivalence by entropy agreement at exactly 2n fixed nodes.
 
@@ -264,7 +242,7 @@ def decide_nodes(
     nodes = cfg.nodes if cfg.nodes is not None else default_nodes(n)
     if len(nodes) != 2 * n:
         raise BadNodeCount(len(nodes), 2 * n)
-    return _gap_report(rho, sigma, np.asarray(nodes), "nodes", cfg, tols)
+    return _decide(rho, sigma, "nodes", cfg, np.asarray(nodes))
 
 
 def equal_entropy_pair(

@@ -20,13 +20,7 @@ import numpy as np
 
 from .entropy import DeterminantPolynomial, EntropyCurve
 from .errors import ComplexRoots, DegreeDeficit, IllConditioned, OracleDomain
-from .states import (
-    DEFAULT_TOLERANCES,
-    QuantumState,
-    Spectrum,
-    ToleranceConfig,
-    hermitian_spectrum,
-)
+from .states import QuantumState, Spectrum, hermitian_spectrum
 
 FIT_RESIDUAL_BOUND = 1e-3
 
@@ -47,12 +41,10 @@ class EntropyOracle:
 
 
 def oracle_from_state(
-    state: QuantumState,
-    include_derivative: bool = True,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    state: QuantumState, include_derivative: bool = True
 ) -> EntropyOracle:
     """Wrap a concrete state as an entropy oracle (closed-form curve)."""
-    return oracle_from_spectrum(hermitian_spectrum(state, tol), include_derivative)
+    return oracle_from_spectrum(hermitian_spectrum(state), include_derivative)
 
 
 def oracle_from_spectrum(
@@ -262,8 +254,3 @@ def recover_spectrum(
         trimmed_degree=trimmed,
         sum_drift=drift,
     )
-
-
-def recovered_as_spectrum(result: RecoveredSpectrum) -> Spectrum:
-    """View a recovery result as a plain Spectrum for downstream use."""
-    return Spectrum(values=result.values)

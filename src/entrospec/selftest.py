@@ -520,7 +520,9 @@ def property_names() -> tuple[str, ...]:
     return tuple(name for name, _ in _PROPERTIES)
 
 
-def run_selftest(seed: int, entropy_tol: float = 1e-9) -> list[PropertyResult]:
+def run_selftest(
+    seed: int, entropy_tol: float = EquivalenceConfig.entropy_tol
+) -> list[PropertyResult]:
     """Run every property at the given seed; deterministic per (seed, tol)."""
     results = []
     for index, (name, prop) in enumerate(_PROPERTIES):

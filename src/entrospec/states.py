@@ -2,8 +2,8 @@
 
 Each state is decomposed once, by LAPACK through ``np.linalg.eigh``, the
 first time anything asks for its eigenvalues (validation does, for the PSD
-check). The result is cached on the state, and ``validate_state`` makes
-the matrix read-only so the cache cannot go stale; spectra, eigenbases,
+check). The result is cached on the state, and ``QuantumState`` makes its
+matrix read-only so the cache cannot go stale; spectra, eigenbases,
 entropies, curves and unitary witnesses all read that one decomposition.
 
 ``jacobi_eigh``, a hand-rolled cyclic Jacobi iteration for complex
@@ -54,11 +54,12 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 def as_complex_matrix(data) -> ComplexMatrix:
     """Coerce array-like input to a square complex128 matrix.
 
-    Raises ValueError if the input is not square and two-dimensional.
+    Raises ValueError if the input is not square, two-dimensional and
+    non-empty.
     """
     m = np.asarray(data, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
 
 
@@ -86,8 +87,7 @@ class QuantumState:
     """A validated density matrix together with its dimension.
 
     The eigensystem is computed on first use and cached, so the matrix
-    must not change afterwards; ``validate_state`` hands out a read-only
-    matrix to enforce that.
+    must not change afterwards: construction makes it read-only in place.
     """
 
     matrix: ComplexMatrix = field(repr=False)
@@ -99,6 +99,7 @@ class QuantumState:
                 f"matrix shape {self.matrix.shape} does not match "
                 f"dimension {self.dimension}"
             )
+        self.matrix.setflags(write=False)
 
     @cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -118,9 +119,9 @@ def validate_state(data, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> QuantumSt
     otherwise pass them all), then Hermiticity, then unit trace, then
     positive semidefiniteness. A matrix within ``herm_tol`` of Hermitian
     is symmetrized to (M + M^*) / 2 before further checks, so downstream
-    code always sees an exactly Hermitian matrix. The stored matrix is
-    read-only, and the eigendecomposition made for the PSD check stays
-    cached on the returned state.
+    code always sees an exactly Hermitian matrix. The stored matrix is a
+    read-only copy, and the eigendecomposition made for the PSD check
+    stays cached on the returned state.
     """
     m = as_complex_matrix(data)
 
@@ -139,7 +140,6 @@ def validate_state(data, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> QuantumSt
     if abs(trace - 1.0) > tol.trace_tol:
         raise TraceNotOne(trace, tol.trace_tol)
 
-    m.setflags(write=False)
     state = QuantumState(matrix=m, dimension=m.shape[0])
     min_eig = float(state._eigensystem[0][-1])
     if min_eig < -tol.psd_tol:
@@ -230,9 +230,7 @@ def jacobi_eigh(
     return values[order], v[:, order]
 
 
-def hermitian_spectrum(
-    state: QuantumState, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> Spectrum:
+def hermitian_spectrum(state: QuantumState) -> Spectrum:
     """Spectrum of a validated state: clamped to [0, 1] and renormalized.
 
     Clamping removes the tiny negative round-off a PSD check already
@@ -244,14 +242,12 @@ def hermitian_spectrum(
     clamped = np.clip(values, 0.0, 1.0)
     total = float(np.sum(clamped))
     if total <= 0.0:
-        raise NotPositiveSemidefinite(float(values[-1]), tol.psd_tol)
+        raise NotPositiveSemidefinite(float(values[-1]), DEFAULT_TOLERANCES.psd_tol)
     clamped = clamped / total
     return Spectrum(values=tuple(clamped.tolist()))
 
 
-def hermitian_eigensystem(
-    state: QuantumState, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(state: QuantumState) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns.
 
     Both arrays are the state's cached, read-only decomposition.

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entrospec import random_state, save_matrix
+from entrospec import EquivalenceConfig, random_state, save_matrix
 from entrospec.cli import main, resolve_seed
 from entrospec.errors import ParseError
 from entrospec.matrixio import load_matrix, parse_matrix_file
@@ -139,6 +139,18 @@ class TestEquivCommand:
         residual = matrix - witness @ matrix @ witness.conj().T
         assert np.max(np.abs(residual)) <= 1e-8
 
+    def test_defaults_come_from_equivalence_config(self, tmp_path, capsys):
+        a = write_state(tmp_path, "a.json", np.diag([0.75, 0.25]))
+        code, out, _ = run(capsys, ["equiv", a, a, "--mode", "t1"])
+        assert code == 0
+        payload = json.loads(out)
+        defaults = EquivalenceConfig()
+        assert payload["entropy_tol"] == defaults.entropy_tol
+        assert payload["spectrum_tol"] == defaults.spectrum_tol
+        nodes = [lam for lam, _ in payload["per_node_gaps"]]
+        assert len(nodes) == defaults.grid_points
+        assert nodes[-1] < defaults.grid_limit
+
     @pytest.mark.parametrize("mode", ["spectral", "t1", "t2"])
     def test_all_modes_agree_on_equivalent_pair(self, tmp_path, capsys, mode):
         a = write_state(tmp_path, "a.json", np.diag([0.75, 0.25]))
@@ -262,6 +274,12 @@ class TestSelftestCommand:
         assert code == 1
         assert "ENTROSPEC_SEED" in err
 
+    def test_seed_env_is_read_by_selftest_only(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENTROSPEC_SEED", "not-a-number")
+        state = write_state(tmp_path, "s.json", np.eye(2) / 2)
+        code, _, _ = run(capsys, ["entropy", state])
+        assert code == 0
+
 
 class TestResolveSeed:
     def test_flag_beats_env(self):
@@ -280,7 +298,7 @@ class TestResolveSeed:
 
 class TestMatrixFiles:
     def test_roundtrip_is_exact(self, tmp_path, rng):
-        matrix = random_state(4, rng).matrix
+        matrix = random_state(4, rng).matrix.copy()
         matrix[0, 1] = complex(-0.0, 1e-300)
         matrix[1, 0] = complex(1 / 3, 1e16)
         path = tmp_path / "m.json"

@@ -14,12 +14,11 @@ from entrospec import (
     oracle_from_state,
     random_state,
     random_unitary,
-    spectral_equivalent,
     unitary_witness,
     validate_state,
     von_neumann_entropy,
 )
-from entrospec import states
+from entrospec import equivalence, states
 from entrospec.errors import (
     BadNodeCount,
     DimensionMismatch,
@@ -32,24 +31,6 @@ from conftest import diag_state
 
 def conjugate(state, u):
     return validate_state(u @ state.matrix @ u.conj().T)
-
-
-class TestSpectralEquivalent:
-    def test_conjugate_pair(self, rng):
-        state = random_state(4, rng)
-        rotated = conjugate(state, random_unitary(4, rng))
-        assert spectral_equivalent(state, rotated, 1e-8)
-
-    def test_pure_vs_mixed(self):
-        assert not spectral_equivalent(diag_state(1.0, 0.0), diag_state(0.5, 0.5), 1e-8)
-
-    def test_diagonal_vs_hand_computed(self):
-        offdiag = validate_state(np.array([[0.5, 0.25], [0.25, 0.5]]))
-        assert spectral_equivalent(diag_state(0.75, 0.25), offdiag, 1e-8)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
-            spectral_equivalent(random_state(2, rng), random_state(3, rng), 1e-8)
 
 
 class TestUnitaryWitness:
@@ -170,6 +151,22 @@ class TestDecideSpectral:
         assert isinstance(doc["witness"]["re"], list)
         doc_neg = decide_spectral(diag_state(1.0, 0.0), diag_state(0.5, 0.5)).to_dict()
         assert doc_neg["witness"] is None
+
+    def test_conjugate_pair(self, rng):
+        state = random_state(4, rng)
+        rotated = conjugate(state, random_unitary(4, rng))
+        assert decide_spectral(state, rotated).equivalent
+
+    def test_pure_vs_mixed(self):
+        assert not decide_spectral(diag_state(1.0, 0.0), diag_state(0.5, 0.5)).equivalent
+
+    def test_diagonal_vs_hand_computed(self):
+        offdiag = validate_state(np.array([[0.5, 0.25], [0.25, 0.5]]))
+        assert decide_spectral(diag_state(0.75, 0.25), offdiag).equivalent
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch):
+            decide_spectral(random_state(2, rng), random_state(3, rng))
 
 
 class TestEqualEntropyPair:
@@ -299,3 +296,25 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
     # the counters do see the solve of a state not yet decomposed
     validate_state(rho.matrix)
     assert calls == ["eigh"]
+
+
+def test_one_spectrum_read_per_state(rng, monkeypatch):
+    # each decision reads each state's spectrum once, witness path included
+    rho = random_state(6, rng)
+    sigma = conjugate(rho, random_unitary(6, rng))
+    other = random_state(6, rng)
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return hermitian_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "hermitian_spectrum", counting)
+    for decide in (decide_spectral, decide_grid, decide_nodes):
+        for pair, equivalent in (((rho, sigma), True), ((rho, other), False)):
+            calls.clear()
+            report = decide(*pair)
+            assert report.equivalent is equivalent
+            assert (report.witness is not None) is equivalent
+            assert len(calls) == 2

