@@ -140,10 +140,6 @@ class EntropyCurve:
         return w
 
 
-def curve_for_state(state: QuantumState) -> EntropyCurve:
-    return EntropyCurve(spectrum=hermitian_spectrum(state))
-
-
 @dataclass(frozen=True)
 class DeterminantPolynomial:
     """det of the depolarized state as a polynomial in the mixing weight.

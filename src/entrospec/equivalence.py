@@ -15,6 +15,7 @@ unitary witness U with rho = U sigma U*, built from the two eigenbases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,8 @@ import numpy as np
 from .entropy import EntropyCurve, entropy_of_spectrum
 from .errors import BadNodeCount, SpectraMismatch, WitnessInconsistency
 from .states import (
-    DEFAULT_TOLERANCES,
     QuantumState,
     Spectrum,
-    ToleranceConfig,
     check_same_dimension,
     hermitian_eigensystem,
     hermitian_spectrum,
@@ -44,7 +43,8 @@ class EquivalenceConfig:
     ``nodes`` overrides the default 2n node set (must then have exactly
     2n strictly increasing entries in (0, 1]); ``entropy_tol`` is the
     per-node gap threshold in bits; ``spectrum_tol`` bounds the sorted
-    spectral distance for the oracle and the witness precondition.
+    spectral distance for the oracle and the witness precondition. Both
+    tolerances must be finite and positive.
     """
 
     grid_limit: float = 0.9
@@ -54,17 +54,20 @@ class EquivalenceConfig:
     spectrum_tol: float = 1e-8
 
     def __post_init__(self):
+        # every check is written so that NaN and +-inf fail it
         if not 0.0 < self.grid_limit <= 1.0:
             raise ValueError(f"grid_limit must be in (0, 1], got {self.grid_limit}")
-        if self.grid_points < 2:
+        if not 2 <= self.grid_points < math.inf:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        if self.entropy_tol <= 0.0 or self.spectrum_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.entropy_tol < math.inf and 0.0 < self.spectrum_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.nodes is not None:
             nodes = tuple(float(x) for x in self.nodes)
-            if any(b <= a for a, b in zip(nodes, nodes[1:])):
+            if not nodes:
+                raise ValueError("nodes must not be empty")
+            if not all(b > a for a, b in zip(nodes, nodes[1:])):
                 raise ValueError("nodes must be strictly increasing")
-            if nodes[0] <= 0.0 or nodes[-1] > 1.0:
+            if not (0.0 < nodes[0] and nodes[-1] <= 1.0):
                 raise ValueError("nodes must lie in (0, 1]")
             object.__setattr__(self, "nodes", nodes)
 
@@ -245,9 +248,7 @@ def decide_nodes(
     return _decide(rho, sigma, "nodes", cfg, np.asarray(nodes))
 
 
-def equal_entropy_pair(
-    n: int, tols: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[QuantumState, QuantumState]:
+def equal_entropy_pair(n: int) -> tuple[QuantumState, QuantumState]:
     """Two diagonal states whose entropies agree to 1e-12 at full weight.
 
     Dimension 3: the reference spectrum is (0.5, 0.4, 0.1); bisection over
@@ -295,6 +296,6 @@ def equal_entropy_pair(
     t = 0.5 * (lo + hi)
     matched = tuple(sorted(family(t), reverse=True))
 
-    state_a = validate_state(np.diag(np.asarray(reference, dtype=np.complex128)), tols)
-    state_b = validate_state(np.diag(np.asarray(matched, dtype=np.complex128)), tols)
+    state_a = validate_state(np.diag(np.asarray(reference, dtype=np.complex128)))
+    state_b = validate_state(np.diag(np.asarray(matched, dtype=np.complex128)))
     return state_a, state_b

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +21,7 @@ from .errors import ParseError
 from .states import ComplexMatrix, as_complex_matrix
 
 
-@dataclass(frozen=True)
-class MatrixFile:
-    n: int
-    re: tuple[tuple[float, ...], ...]
-    im: tuple[tuple[float, ...], ...]
-
-    def to_matrix(self) -> ComplexMatrix:
-        # assembled componentwise: re + 1j*im would turn -0.0 into +0.0
-        out = np.empty((self.n, self.n), dtype=np.complex128)
-        out.real = np.asarray(self.re, dtype=np.float64)
-        out.imag = np.asarray(self.im, dtype=np.float64)
-        return out
-
-
-def _check_grid(name: str, grid, n: int) -> tuple[tuple[float, ...], ...]:
+def _check_grid(name: str, grid, n: int) -> list[list[float]]:
     if not isinstance(grid, list) or len(grid) != n:
         raise ParseError(f"field '{name}' must be a list of {n} rows")
     rows = []
@@ -55,11 +40,12 @@ def _check_grid(name: str, grid, n: int) -> tuple[tuple[float, ...], ...]:
                 raise ParseError(
                     f"field '{name}', row {i}, column {j}: non-finite value"
                 )
-        rows.append(tuple(float(x) for x in row))
-    return tuple(rows)
+        rows.append([float(x) for x in row])
+    return rows
 
 
-def parse_matrix_file(text: str) -> MatrixFile:
+def parse_matrix_file(text: str) -> ComplexMatrix:
+    """Parse a matrix file's text; every problem raises ParseError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -72,9 +58,11 @@ def parse_matrix_file(text: str) -> MatrixFile:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f"field 'n' must be a positive integer, got {n!r}")
-    return MatrixFile(
-        n=n, re=_check_grid("re", doc["re"], n), im=_check_grid("im", doc["im"], n)
-    )
+    # assembled componentwise: re + 1j*im would turn -0.0 into +0.0
+    out = np.empty((n, n), dtype=np.complex128)
+    out.real = _check_grid("re", doc["re"], n)
+    out.imag = _check_grid("im", doc["im"], n)
+    return out
 
 
 def load_matrix(path: str) -> ComplexMatrix:
@@ -84,7 +72,7 @@ def load_matrix(path: str) -> ComplexMatrix:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix_file(text).to_matrix()
+    return parse_matrix_file(text)
 
 
 def save_matrix(path: str, matrix) -> None:

@@ -13,6 +13,7 @@ and are counted separately instead of being rooted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,7 +73,7 @@ class RecoveryConfig:
 
     ``nodes`` are the fitting nodes (at least n + 1 of them, all in
     (0, lambda_max]); ``validation_nodes`` are held out of the fit and
-    used only to measure the residual reported with the result.
+    used only to measure the residual that is reported and bounded.
     """
 
     nodes: tuple[float, ...]
@@ -86,10 +87,12 @@ class RecoveryConfig:
         if not 0.0 < self.lambda_max < 1.0:
             raise ValueError(f"lambda_max must be in (0, 1), got {self.lambda_max}")
         for name in ("fd_step", "coeff_trim_tol", "root_imag_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         for label, nodes in (("nodes", self.nodes), ("validation_nodes", self.validation_nodes)):
             values = tuple(float(x) for x in nodes)
+            if not values:
+                raise ValueError(f"{label} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{label} must be distinct")
             if any(not 0.0 < x <= self.lambda_max for x in values):
@@ -140,7 +143,8 @@ def sample_log2_determinant(
     Computes n * (lam * S'(lam) - S(lam)) from the oracle. The derivative
     comes from ``derivative_fn`` when available, otherwise from a central
     difference with step fd_step * max(lam, 0.1), shrunk as needed so both
-    probe points stay inside (0, 1).
+    probe points stay inside (0, 1). A non-finite sample raises
+    IllConditioned: no fit can be trusted on it.
     """
     if not 0.0 < lam <= cfg.lambda_max:
         raise OracleDomain(lam, f"(0, {cfg.lambda_max}]")
@@ -153,7 +157,10 @@ def sample_log2_determinant(
         if h <= 0.0:
             raise OracleDomain(lam, "(0, 1) with room for finite differences")
         derivative = (oracle.value_fn(lam + h) - oracle.value_fn(lam - h)) / (2.0 * h)
-    return n * (lam * derivative - oracle.value_fn(lam))
+    log2_det = n * (lam * derivative - oracle.value_fn(lam))
+    if not math.isfinite(log2_det):
+        raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND)
+    return log2_det
 
 
 def fit_determinant_polynomial(
@@ -196,7 +203,7 @@ def fit_determinant_polynomial(
             break
         observed = sample_log2_determinant(oracle, lam, cfg)
         residual = max(residual, abs(float(np.log2(predicted)) - observed))
-    if residual > FIT_RESIDUAL_BOUND:
+    if not residual <= FIT_RESIDUAL_BOUND:
         raise IllConditioned(residual, FIT_RESIDUAL_BOUND)
     return poly, residual
 

@@ -23,6 +23,7 @@ from .entropy import (
 )
 from .equivalence import (
     EquivalenceConfig,
+    _sorted_distance,
     decide_grid,
     decide_nodes,
     decide_spectral,
@@ -79,11 +80,7 @@ def _conjugate(state: QuantumState, u: np.ndarray) -> QuantumState:
 
 
 def _spectral_distance(a: QuantumState, b: QuantumState) -> float:
-    return float(
-        np.max(
-            np.abs(hermitian_spectrum(a).as_array() - hermitian_spectrum(b).as_array())
-        )
-    )
+    return _sorted_distance(hermitian_spectrum(a), hermitian_spectrum(b))
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +511,6 @@ _PROPERTIES = (
     ("recovery-sum-rule", _prop_recovery_sum_rule),
     ("matrix-file-roundtrip", _prop_matrix_file_roundtrip),
 )
-
-
-def property_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _PROPERTIES)
 
 
 def run_selftest(

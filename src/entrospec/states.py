@@ -33,22 +33,13 @@ from .errors import (
 ComplexMatrix = np.ndarray
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds for state validation and eigensolves.
-
-    ``eig_tol`` and ``max_sweeps`` steer ``jacobi_eigh`` only; the cached
-    LAPACK decomposition that states use has no such knobs.
-    """
-
-    herm_tol: float = 1e-10
-    psd_tol: float = 1e-9
-    trace_tol: float = 1e-9
-    eig_tol: float = 1e-12
-    max_sweeps: int = 100
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# validate_state's thresholds (Hermiticity residual, trace error, most
+# negative eigenvalue) and the stopping rule of the jacobi_eigh reference.
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-9
+PSD_TOL = 1e-9
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
 
 
 def as_complex_matrix(data) -> ComplexMatrix:
@@ -111,13 +102,13 @@ class QuantumState:
         return values, vectors
 
 
-def validate_state(data, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> QuantumState:
+def validate_state(data) -> QuantumState:
     """Check density-matrix invariants and return a validated state.
 
     Checks run in a fixed order so error reporting is deterministic:
     finite entries first (NaN fails every comparison below, so it would
     otherwise pass them all), then Hermiticity, then unit trace, then
-    positive semidefiniteness. A matrix within ``herm_tol`` of Hermitian
+    positive semidefiniteness. A matrix within ``HERM_TOL`` of Hermitian
     is symmetrized to (M + M^*) / 2 before further checks, so downstream
     code always sees an exactly Hermitian matrix. The stored matrix is a
     read-only copy, and the eigendecomposition made for the PSD check
@@ -132,18 +123,18 @@ def validate_state(data, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> QuantumSt
         raise NotFinite(len(bad), first, complex(m[first]))
 
     herm_residual = float(np.max(np.abs(m - m.conj().T)))
-    if herm_residual > tol.herm_tol:
-        raise NotHermitian(herm_residual, tol.herm_tol)
+    if herm_residual > HERM_TOL:
+        raise NotHermitian(herm_residual, HERM_TOL)
     m = 0.5 * (m + m.conj().T)
 
     trace = complex(np.trace(m))
-    if abs(trace - 1.0) > tol.trace_tol:
-        raise TraceNotOne(trace, tol.trace_tol)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise TraceNotOne(trace, TRACE_TOL)
 
     state = QuantumState(matrix=m, dimension=m.shape[0])
     min_eig = float(state._eigensystem[0][-1])
-    if min_eig < -tol.psd_tol:
-        raise NotPositiveSemidefinite(min_eig, tol.psd_tol)
+    if min_eig < -PSD_TOL:
+        raise NotPositiveSemidefinite(min_eig, PSD_TOL)
 
     return state
 
@@ -190,18 +181,16 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     v[:, q] = -s * alpha * vcol_p + c * vcol_q
 
 
-def jacobi_eigh(
-    matrix, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
 
     Sweeps over all upper-triangle pairs (p, q) in row order, annihilating
     each pivot with a complex plane rotation, until the off-diagonal
-    Frobenius norm falls below ``tol.eig_tol``. Returns ``(values,
+    Frobenius norm falls below ``JACOBI_TOL``. Returns ``(values,
     vectors)`` with real eigenvalues sorted ascending and the matching
     orthonormal eigenvectors in the columns of ``vectors``.
 
-    Raises NoConvergence after ``tol.max_sweeps`` sweeps. In exact
+    Raises NoConvergence after ``JACOBI_MAX_SWEEPS`` sweeps. In exact
     arithmetic cyclic Jacobi converges quadratically; 100 sweeps is far
     beyond anything a Hermitian matrix of this size needs.
     """
@@ -212,8 +201,8 @@ def jacobi_eigh(
     if n == 1:
         return np.array([a[0, 0].real]), v
 
-    for _ in range(tol.max_sweeps):
-        if _off_diagonal_norm(a) <= tol.eig_tol:
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if _off_diagonal_norm(a) <= JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -222,8 +211,8 @@ def jacobi_eigh(
                 _rotate(a, v, p, q)
     else:
         off = _off_diagonal_norm(a)
-        if off > tol.eig_tol:
-            raise NoConvergence(tol.max_sweeps, off, tol.eig_tol)
+        if off > JACOBI_TOL:
+            raise NoConvergence(JACOBI_MAX_SWEEPS, off, JACOBI_TOL)
 
     values = np.diag(a).real.copy()
     order = np.argsort(values)
@@ -234,7 +223,7 @@ def hermitian_spectrum(state: QuantumState) -> Spectrum:
     """Spectrum of a validated state: clamped to [0, 1] and renormalized.
 
     Clamping removes the tiny negative round-off a PSD check already
-    bounded by ``psd_tol``; renormalization restores an exact unit sum so
+    bounded by ``PSD_TOL``; renormalization restores an exact unit sum so
     entropy formulas downstream see a genuine probability vector.
     Clamping and scaling keep the cached descending order.
     """
@@ -242,7 +231,7 @@ def hermitian_spectrum(state: QuantumState) -> Spectrum:
     clamped = np.clip(values, 0.0, 1.0)
     total = float(np.sum(clamped))
     if total <= 0.0:
-        raise NotPositiveSemidefinite(float(values[-1]), DEFAULT_TOLERANCES.psd_tol)
+        raise NotPositiveSemidefinite(float(values[-1]), PSD_TOL)
     clamped = clamped / total
     return Spectrum(values=tuple(clamped.tolist()))
 

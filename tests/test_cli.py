@@ -192,6 +192,15 @@ class TestEquivCommand:
         assert code == 1
         assert "entrospec:" in err
 
+    def test_nan_tolerance_exits_1(self, tmp_path, capsys):
+        # NaN fails every comparison: unchecked, it decides a state
+        # against itself as not_equivalent (exit 3)
+        a = write_state(tmp_path, "a.json", np.diag([0.75, 0.25]))
+        code, out, err = run(capsys, ["equiv", a, a, "--entropy-tol", "nan"])
+        assert code == 1
+        assert out == ""
+        assert "finite and positive" in err
+
     def test_bad_mode_exits_1(self, tmp_path, capsys):
         a = write_state(tmp_path, "a.json", np.eye(2) / 2)
         code, _, _ = run(capsys, ["equiv", a, a, "--mode", "bogus"])
@@ -251,6 +260,15 @@ class TestRecoverCommand:
         assert code == 0
         assert json.loads(out)["linf_error"] <= 1e-8
 
+    def test_nan_trim_tolerance_exits_1(self, tmp_path, capsys):
+        # unchecked, a NaN trim threshold trims every coefficient and the
+        # run prints the flat spectrum with exit 0
+        state = write_state(tmp_path, "s.json", np.diag([0.4, 0.3, 0.2, 0.1]))
+        code, out, err = run(capsys, ["recover", state, "--coeff-trim-tol", "nan"])
+        assert code == 1
+        assert out == ""
+        assert "coeff_trim_tol must be finite and positive" in err
+
     def test_bad_nodes_exit_1(self, tmp_path, capsys):
         state = write_state(tmp_path, "s.json", np.diag([0.75, 0.25]))
         code, _, _ = run(capsys, ["recover", state, "--nodes", "0.2", "0.2", "0.4"])
@@ -267,6 +285,11 @@ class TestSelftestCommand:
         failing = {p["name"] for p in payload["properties"] if not p["passed"]}
         assert "equivalent-pairs-all-methods" in failing
         assert "FAIL" in err
+
+    def test_nan_tolerance_exits_1(self, capsys):
+        code, out, _ = run(capsys, ["selftest", "--entropy-tol", "nan"])
+        assert code == 1
+        assert out == ""
 
     def test_invalid_seed_env_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("ENTROSPEC_SEED", "not-a-number")

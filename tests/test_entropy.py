@@ -6,7 +6,6 @@ import pytest
 from entrospec import (
     EntropyCurve,
     Spectrum,
-    curve_for_state,
     depolarize,
     determinant_polynomial,
     entropy_of_spectrum,
@@ -60,7 +59,7 @@ class TestVonNeumannEntropy:
 class TestEntropyCurveValue:
     def test_weight_zero_is_log2_n(self, rng):
         for n in (2, 5, 8):
-            curve = curve_for_state(random_state(n, rng))
+            curve = EntropyCurve(hermitian_spectrum(random_state(n, rng)))
             assert curve.value(0.0) == pytest.approx(math.log2(n), abs=1e-12)
 
     def test_maximal_mixed_is_constant(self):
@@ -77,12 +76,12 @@ class TestEntropyCurveValue:
             n = int(rng.integers(2, 9))
             state = random_state(n, rng)
             lam = float(rng.uniform(0.0, 1.0))
-            curve = curve_for_state(state)
+            curve = EntropyCurve(hermitian_spectrum(state))
             direct = von_neumann_entropy(depolarize(state, lam))
             assert abs(curve.value(lam) - direct) <= 1e-10
 
     def test_non_increasing_along_the_line(self, rng):
-        curve = curve_for_state(random_state(5, rng))
+        curve = EntropyCurve(hermitian_spectrum(random_state(5, rng)))
         samples = [curve.value(lam) for lam in np.linspace(0.0, 1.0, 40)]
         assert all(b <= a + 1e-12 for a, b in zip(samples, samples[1:]))
 
@@ -132,7 +131,8 @@ class TestEntropyCurveValues:
 class TestEntropyCurveDerivatives:
     def test_derivative_zero_at_origin(self, rng):
         for _ in range(5):
-            curve = curve_for_state(random_state(int(rng.integers(2, 9)), rng))
+            state = random_state(int(rng.integers(2, 9)), rng)
+            curve = EntropyCurve(hermitian_spectrum(state))
             assert abs(curve.derivative(0.0)) <= 1e-12
 
     def test_maximal_mixed_derivatives_vanish(self):
@@ -162,7 +162,7 @@ class TestEntropyCurveDerivatives:
         assert curve.second_derivative(0.0) < 0.0
 
     def test_concavity_on_random_states(self, rng):
-        curve = curve_for_state(random_state(6, rng))
+        curve = EntropyCurve(hermitian_spectrum(random_state(6, rng)))
         for lam in np.linspace(0.0, 0.99, 15):
             assert curve.second_derivative(float(lam)) <= 0.0
 

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from entrospec import (
+    EntropyCurve,
     EquivalenceConfig,
-    curve_for_state,
     decide_grid,
     decide_nodes,
     decide_spectral,
@@ -202,28 +204,43 @@ class TestEqualEntropyPair:
 
 class TestEquivalenceConfig:
     def test_rejects_bad_grid_limit(self):
-        with pytest.raises(ValueError):
-            EquivalenceConfig(grid_limit=0.0)
-        with pytest.raises(ValueError):
-            EquivalenceConfig(grid_limit=1.5)
+        for limit in (0.0, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                EquivalenceConfig(grid_limit=limit)
 
     def test_rejects_bad_grid_points(self):
-        with pytest.raises(ValueError):
-            EquivalenceConfig(grid_points=1)
+        for points in (1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                EquivalenceConfig(grid_points=points)
 
     def test_rejects_unsorted_nodes(self):
-        with pytest.raises(ValueError):
-            EquivalenceConfig(nodes=(0.5, 0.25, 0.75, 1.0))
+        for nodes in ((0.5, 0.25, 0.75, 1.0), (math.nan,) * 8):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                EquivalenceConfig(nodes=nodes)
 
     def test_rejects_nodes_outside_interval(self):
-        with pytest.raises(ValueError):
-            EquivalenceConfig(nodes=(0.0, 0.5, 0.75, 1.0))
-        with pytest.raises(ValueError):
-            EquivalenceConfig(nodes=(0.25, 0.5, 0.75, 1.25))
+        for nodes in (
+            (0.0, 0.5, 0.75, 1.0),
+            (0.25, 0.5, 0.75, 1.25),
+            (math.nan,),
+            (0.5, math.inf),
+            (-math.inf, 0.5),
+        ):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                EquivalenceConfig(nodes=nodes)
+
+    def test_rejects_empty_nodes(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            EquivalenceConfig(nodes=())
 
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(ValueError):
             EquivalenceConfig(entropy_tol=0.0)
+        # NaN fails every comparison, so a `<= 0` check alone lets it through
+        for value in (math.nan, math.inf, -math.inf):
+            for field in ("entropy_tol", "spectrum_tol"):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    EquivalenceConfig(**{field: value})
 
 
 class TestSoundnessLoops:
@@ -289,7 +306,7 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
         assert not decide(rho, other).equivalent
     unitary_witness(rho, sigma)
     von_neumann_entropy(rho)
-    curve_for_state(rho).values(default_nodes(8))
+    EntropyCurve(hermitian_spectrum(rho)).values(default_nodes(8))
     oracle_from_state(rho).value_fn(0.5)
     assert calls == []
 

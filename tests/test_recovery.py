@@ -66,30 +66,42 @@ class TestDefaultRecoveryConfig:
 
 class TestRecoveryConfigValidation:
     def test_rejects_bad_lambda_max(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.2, 0.4, 0.6), lambda_max=0.0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.2, 0.4, 0.6), lambda_max=1.0)
+        for lambda_max in (0.0, 1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RecoveryConfig(nodes=(0.2, 0.4, 0.6), lambda_max=lambda_max)
 
     def test_rejects_nodes_outside_domain(self):
         with pytest.raises(ValueError):
             RecoveryConfig(nodes=(0.0, 0.4, 0.6))
         with pytest.raises(ValueError):
             RecoveryConfig(nodes=(0.2, 0.4, 0.95), lambda_max=0.9)
+        with pytest.raises(ValueError):
+            RecoveryConfig(nodes=(0.2, math.nan, 0.6))
+
+    def test_rejects_empty_node_sets(self):
+        # with no held-out node the residual reads 0.0 and its bound never fires
+        for nodes, held_out in (((), (0.3,)), ((0.2, 0.4, 0.6), ())):
+            with pytest.raises(ValueError, match="must not be empty"):
+                RecoveryConfig(nodes=nodes, validation_nodes=held_out)
 
     def test_rejects_duplicate_nodes(self):
         with pytest.raises(ValueError):
             RecoveryConfig(nodes=(0.2, 0.4, 0.4))
 
     def test_rejects_bad_validation_nodes(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.2, 0.4, 0.6), validation_nodes=(0.3, 1.2))
+        for held_out in ((0.3, 1.2), (0.3, math.inf)):
+            with pytest.raises(ValueError):
+                RecoveryConfig(nodes=(0.2, 0.4, 0.6), validation_nodes=held_out)
 
     def test_rejects_nonpositive_thresholds(self):
         with pytest.raises(ValueError):
             RecoveryConfig(nodes=(0.2, 0.4, 0.6), fd_step=0.0)
         with pytest.raises(ValueError):
             RecoveryConfig(nodes=(0.2, 0.4, 0.6), coeff_trim_tol=-1e-7)
+        for value in (math.nan, math.inf):
+            for name in ("fd_step", "coeff_trim_tol", "root_imag_tol"):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    RecoveryConfig(nodes=(0.2, 0.4, 0.6), **{name: value})
 
 
 class TestFitDeterminantPolynomial:
@@ -207,6 +219,28 @@ class TestRecoverSpectrum:
         with pytest.raises(ComplexRoots) as info:
             recover_spectrum(oracle)
         assert info.value.max_imag > 1.0
+
+    def test_nan_oracle_is_rejected(self):
+        # NaN fails every comparison, so without an explicit check it
+        # passes the residual bound and the coefficient trim and comes
+        # back as the flat spectrum
+        oracle = EntropyOracle(
+            value_fn=lambda lam: math.nan, derivative_fn=lambda lam: math.nan, dimension=4
+        )
+        with pytest.raises(IllConditioned):
+            recover_spectrum(oracle)
+
+    def test_nan_at_validation_nodes_is_rejected(self, rng):
+        base = oracle_from_state(random_state(4, rng))
+        cfg = default_recovery_config(4)
+        held_out = set(cfg.validation_nodes)
+        oracle = EntropyOracle(
+            value_fn=lambda lam: math.nan if lam in held_out else base.value_fn(lam),
+            derivative_fn=base.derivative_fn,
+            dimension=4,
+        )
+        with pytest.raises(IllConditioned):
+            recover_spectrum(oracle, cfg)
 
 
 def test_recovered_as_spectrum(rng):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from entrospec import (
     DimensionMismatch,
+    NoConvergence,
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
@@ -19,6 +22,7 @@ from entrospec import (
     random_unitary,
     validate_state,
 )
+from entrospec import states
 from entrospec.errors import LambdaOutOfRange
 
 from conftest import diag_state
@@ -129,6 +133,14 @@ class TestJacobiEigensolver:
         np.testing.assert_allclose(values, [0.25, 0.75], atol=1e-14)
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         np.testing.assert_allclose(rebuilt, m, atol=1e-14)
+
+    def test_no_convergence_reports_sweeps_and_off_norm(self, monkeypatch):
+        monkeypatch.setattr(states, "JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(NoConvergence) as info:
+            jacobi_eigh(np.array([[0.5, 0.1], [0.1, 0.5]]))
+        assert info.value.sweeps == 0
+        assert info.value.off_norm == pytest.approx(0.1 * math.sqrt(2.0))
+        assert "off-diagonal norm 1.414e-01 > 1.0e-12" in str(info.value)
 
 
 def _conjugated_diagonal(values, rng) -> np.ndarray:
