@@ -57,8 +57,9 @@ class EquivalenceConfig:
         # every check is written so that NaN and +-inf fail it
         if not 0.0 < self.grid_limit <= 1.0:
             raise ValueError(f"grid_limit must be in (0, 1], got {self.grid_limit}")
-        if not 2 <= self.grid_points < math.inf:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        points = self.grid_points
+        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+            raise ValueError(f"grid_points must be an integer >= 2, got {points!r}")
         if not (0.0 < self.entropy_tol < math.inf and 0.0 < self.spectrum_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
         if self.nodes is not None:

@@ -55,19 +55,6 @@ class TraceNotOne(ValidationError):
         )
 
 
-class NoConvergence(EntrospecError):
-    """Iterative eigensolver failed to reach its threshold."""
-
-    def __init__(self, sweeps: int, off_norm: float, tol: float):
-        self.sweeps = sweeps
-        self.off_norm = off_norm
-        self.tol = tol
-        super().__init__(
-            f"Jacobi iteration did not converge after {sweeps} sweeps: "
-            f"off-diagonal norm {off_norm:.3e} > {tol:.1e}"
-        )
-
-
 class SingularSample(EntrospecError):
     """A random draw produced a degenerate object (e.g. rank-deficient QR)."""
 

@@ -76,8 +76,14 @@ def load_matrix(path: str) -> ComplexMatrix:
 
 
 def save_matrix(path: str, matrix) -> None:
-    """Write a matrix file that load_matrix reads back bit-exactly."""
+    """Write a matrix file that load_matrix reads back bit-exactly.
+
+    Raises ValueError on a non-finite entry, which the format cannot hold,
+    before the file is opened.
+    """
     m = as_complex_matrix(matrix)
+    if not np.isfinite(m).all():
+        raise ValueError("cannot save a matrix with non-finite entries")
     doc = {
         "n": m.shape[0],
         "re": [[float(x) for x in row] for row in m.real],

@@ -174,7 +174,7 @@ def fit_determinant_polynomial(
     (1/n)^n. Returns the polynomial and the validation residual: the max
     log2-determinant mismatch at the held-out nodes. Raises IllConditioned
     when that residual exceeds 1e-3, which signals a noisy or inconsistent
-    oracle rather than a fixable fit.
+    oracle rather than a fixable fit, and when 2**sample overflows.
     """
     n = oracle.dimension
     nodes = np.asarray(cfg.nodes)
@@ -184,9 +184,13 @@ def fit_determinant_polynomial(
             f"got {len(nodes)}"
         )
 
-    samples = np.array(
-        [2.0 ** sample_log2_determinant(oracle, float(lam), cfg) for lam in nodes]
-    )
+    samples = np.empty(len(nodes))
+    for i, lam in enumerate(nodes):
+        log2_det = sample_log2_determinant(oracle, float(lam), cfg)
+        try:
+            samples[i] = 2.0 ** log2_det
+        except OverflowError:  # no state's sample does: its log2 det is <= 0
+            raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND) from None
     vander = np.polynomial.polynomial.polyvander(nodes, n)
     coeffs, _, _, _ = np.linalg.lstsq(vander, samples, rcond=None)
     coeffs[0] = (1.0 / n) ** n

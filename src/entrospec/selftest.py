@@ -41,8 +41,8 @@ from .recovery import (
 from .states import (
     QuantumState,
     depolarize,
+    hermitian_eigensystem,
     hermitian_spectrum,
-    jacobi_eigh,
     random_state,
     random_unitary,
     validate_state,
@@ -92,7 +92,7 @@ def _prop_eigensolver_reconstruction(name, rng, entropy_tol):
     worst = 0.0
     for n in (2, 3, 5, 8, 12, 16):
         state = random_state(n, rng)
-        values, vectors = jacobi_eigh(state.matrix)
+        values, vectors = hermitian_eigensystem(state)
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         worst = max(worst, float(np.max(np.abs(rebuilt - state.matrix))))
     return _result(name, worst <= bound, worst, "V D V* vs input, n up to 16, bound 1e-10")
@@ -128,7 +128,8 @@ def _prop_random_state_validity(name, rng, entropy_tol):
     failures = 0
     for _ in range(20):
         n = _random_dim(rng)
-        m = random_state(n, rng).matrix
+        state = random_state(n, rng)
+        m = state.matrix
         try:
             validate_state(m)
         except EntrospecError:
@@ -136,7 +137,7 @@ def _prop_random_state_validity(name, rng, entropy_tol):
             continue
         herm = float(np.max(np.abs(m - m.conj().T)))
         trace_dev = abs(float(np.trace(m).real) - 1.0)
-        min_eig = float(np.min(jacobi_eigh(m)[0]))
+        min_eig = float(np.min(hermitian_eigensystem(state)[0]))
         worst = max(worst, herm, trace_dev, max(0.0, -min_eig))
     return _result(
         name, failures == 0 and worst <= 1e-9, worst,

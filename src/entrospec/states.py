@@ -5,10 +5,6 @@ first time anything asks for its eigenvalues (validation does, for the PSD
 check). The result is cached on the state, and ``QuantumState`` makes its
 matrix read-only so the cache cannot go stale; spectra, eigenbases,
 entropies, curves and unitary witnesses all read that one decomposition.
-
-``jacobi_eigh``, a hand-rolled cyclic Jacobi iteration for complex
-Hermitian matrices, is kept as the independent reference that the tests
-and the selftest check the LAPACK path against.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     LambdaOutOfRange,
-    NoConvergence,
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
@@ -34,12 +29,10 @@ ComplexMatrix = np.ndarray
 
 
 # validate_state's thresholds (Hermiticity residual, trace error, most
-# negative eigenvalue) and the stopping rule of the jacobi_eigh reference.
+# negative eigenvalue).
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 def as_complex_matrix(data) -> ComplexMatrix:
@@ -137,86 +130,6 @@ def validate_state(data) -> QuantumState:
         raise NotPositiveSemidefinite(min_eig, PSD_TOL)
 
     return state
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the strictly off-diagonal part."""
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Apply one complex Jacobi rotation zeroing a[p, q], in place.
-
-    The rotation is G = [[c, -s*alpha], [s*conj(alpha), c]] acting on
-    columns (p, q), where alpha = a[p, q] / |a[p, q]| carries the phase
-    and (c, s) is the classical real Jacobi pair for the modulus.
-    """
-    apq = a[p, q]
-    alpha = apq / abs(apq)
-    tau = (a[p, p].real - a[q, q].real) / (2.0 * abs(apq))
-    if tau == 0.0:
-        t = 1.0
-    else:
-        t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Column update: A <- A G
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * np.conj(alpha) * col_q
-    a[:, q] = -s * alpha * col_p + c * col_q
-
-    # Row update: A <- G^* A
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s * alpha * row_q
-    a[q, :] = -s * np.conj(alpha) * row_p + c * row_q
-
-    # Accumulate eigenvectors: V <- V G
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p + s * np.conj(alpha) * vcol_q
-    v[:, q] = -s * alpha * vcol_p + c * vcol_q
-
-
-def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
-
-    Sweeps over all upper-triangle pairs (p, q) in row order, annihilating
-    each pivot with a complex plane rotation, until the off-diagonal
-    Frobenius norm falls below ``JACOBI_TOL``. Returns ``(values,
-    vectors)`` with real eigenvalues sorted ascending and the matching
-    orthonormal eigenvectors in the columns of ``vectors``.
-
-    Raises NoConvergence after ``JACOBI_MAX_SWEEPS`` sweeps. In exact
-    arithmetic cyclic Jacobi converges quadratically; 100 sweeps is far
-    beyond anything a Hermitian matrix of this size needs.
-    """
-    a = as_complex_matrix(matrix).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-
-    if n == 1:
-        return np.array([a[0, 0].real]), v
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) == 0.0:
-                    continue
-                _rotate(a, v, p, q)
-    else:
-        off = _off_diagonal_norm(a)
-        if off > JACOBI_TOL:
-            raise NoConvergence(JACOBI_MAX_SWEEPS, off, JACOBI_TOL)
-
-    values = np.diag(a).real.copy()
-    order = np.argsort(values)
-    return values[order], v[:, order]
 
 
 def hermitian_spectrum(state: QuantumState) -> Spectrum:

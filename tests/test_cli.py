@@ -330,6 +330,14 @@ class TestMatrixFiles:
         assert np.array_equal(loaded, matrix)
         assert np.array_equal(np.signbit(loaded.real), np.signbit(matrix.real))
 
+    @pytest.mark.parametrize("entry", [np.nan, complex(0.0, np.inf)])
+    def test_save_rejects_non_finite_without_writing(self, tmp_path, entry):
+        # load_matrix rejects non-finite values, so save_matrix must not write them
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_matrix(str(path), np.array([[entry]]))
+        assert not path.exists()
+
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parse_matrix_file("{not json")

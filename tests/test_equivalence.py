@@ -20,7 +20,7 @@ from entrospec import (
     validate_state,
     von_neumann_entropy,
 )
-from entrospec import equivalence, states
+from entrospec import equivalence
 from entrospec.errors import (
     BadNodeCount,
     DimensionMismatch,
@@ -209,7 +209,7 @@ class TestEquivalenceConfig:
                 EquivalenceConfig(grid_limit=limit)
 
     def test_rejects_bad_grid_points(self):
-        for points in (1, math.nan, math.inf):
+        for points in (1, 2.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 EquivalenceConfig(grid_points=points)
 
@@ -299,7 +299,6 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    monkeypatch.setattr(states, "jacobi_eigh", counting("jacobi", states.jacobi_eigh))
 
     for decide in (decide_nodes, decide_grid, decide_spectral):
         assert decide(rho, sigma).witness is not None

@@ -230,6 +230,14 @@ class TestRecoverSpectrum:
         with pytest.raises(IllConditioned):
             recover_spectrum(oracle)
 
+    def test_overflowing_oracle_is_rejected(self):
+        # log2 det = 4 * 300 at every node; 2**1200 is not a float
+        oracle = EntropyOracle(
+            value_fn=lambda lam: -300.0, derivative_fn=lambda lam: 0.0, dimension=4
+        )
+        with pytest.raises(IllConditioned):
+            recover_spectrum(oracle)
+
     def test_nan_at_validation_nodes_is_rejected(self, rng):
         base = oracle_from_state(random_state(4, rng))
         cfg = default_recovery_config(4)

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from entrospec import (
     DimensionMismatch,
-    NoConvergence,
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
@@ -17,12 +14,10 @@ from entrospec import (
     depolarize,
     hermitian_eigensystem,
     hermitian_spectrum,
-    jacobi_eigh,
     random_state,
     random_unitary,
     validate_state,
 )
-from entrospec import states
 from entrospec.errors import LambdaOutOfRange
 
 from conftest import diag_state
@@ -94,55 +89,6 @@ class TestValidateState:
             pytest.fail("expected TraceNotOne")
 
 
-class TestJacobiEigensolver:
-    """The hand-rolled solver, cross-checked against numpy's LAPACK one."""
-
-    def test_matches_lapack_on_random_hermitian(self, rng):
-        for n in (2, 3, 4, 6, 8, 12, 16):
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            m = g + g.conj().T
-            values, _ = jacobi_eigh(m)
-            np.testing.assert_allclose(values, np.linalg.eigvalsh(m), atol=1e-10)
-
-    def test_reconstruction_residual(self, rng):
-        for n in (2, 5, 8, 16):
-            m = random_state(n, rng).matrix
-            values, vectors = jacobi_eigh(m)
-            rebuilt = vectors @ np.diag(values) @ vectors.conj().T
-            assert np.max(np.abs(rebuilt - m)) <= 1e-10
-
-    def test_eigenvectors_orthonormal(self, rng):
-        m = random_state(7, rng).matrix
-        _, vectors = jacobi_eigh(m)
-        gram = vectors.conj().T @ vectors
-        np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
-
-    def test_one_by_one(self):
-        values, vectors = jacobi_eigh(np.array([[1.0]]))
-        assert values[0] == 1.0
-        assert vectors[0, 0] == 1.0
-
-    def test_hand_computed_two_by_two(self):
-        # characteristic polynomial x^2 - x + 3/16 has roots 1/4 and 3/4
-        values, _ = jacobi_eigh(np.array([[0.5, 0.25], [0.25, 0.5]]))
-        np.testing.assert_allclose(values, [0.25, 0.75], atol=1e-14)
-
-    def test_complex_offdiagonal(self):
-        m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
-        values, vectors = jacobi_eigh(m)
-        np.testing.assert_allclose(values, [0.25, 0.75], atol=1e-14)
-        rebuilt = vectors @ np.diag(values) @ vectors.conj().T
-        np.testing.assert_allclose(rebuilt, m, atol=1e-14)
-
-    def test_no_convergence_reports_sweeps_and_off_norm(self, monkeypatch):
-        monkeypatch.setattr(states, "JACOBI_MAX_SWEEPS", 0)
-        with pytest.raises(NoConvergence) as info:
-            jacobi_eigh(np.array([[0.5, 0.1], [0.1, 0.5]]))
-        assert info.value.sweeps == 0
-        assert info.value.off_norm == pytest.approx(0.1 * math.sqrt(2.0))
-        assert "off-diagonal norm 1.414e-01 > 1.0e-12" in str(info.value)
-
-
 def _conjugated_diagonal(values, rng) -> np.ndarray:
     n = len(values)
     u = random_unitary(n, rng)
@@ -161,24 +107,58 @@ def _degenerate_spectrum(n, rng) -> np.ndarray:
     return values / values.sum()
 
 
-class TestCachedEigensystem:
-    """The LAPACK decomposition states cache, against the Jacobi reference."""
+def _ginibre_spectrum(n, rng) -> np.ndarray:
+    # the spectrum of G G* / tr(G G*), random_state's law, from G's
+    # singular values so that no eigensolver produces the truth
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    squares = np.linalg.svd(g, compute_uv=False) ** 2
+    return squares / squares.sum()
 
-    @pytest.mark.parametrize("family", ["ginibre", "near_pure", "degenerate"])
-    def test_matches_jacobi_and_reconstructs(self, rng, family):
+
+_SPECTRUM_FAMILIES = {
+    "ginibre": _ginibre_spectrum,
+    "near_pure": _near_pure_spectrum,
+    "degenerate": _degenerate_spectrum,
+}
+
+
+class TestCachedEigensystem:
+    """The LAPACK decomposition states cache, against spectra known by construction."""
+
+    @pytest.mark.parametrize("family", sorted(_SPECTRUM_FAMILIES))
+    def test_recovers_constructed_spectrum(self, rng, family):
+        # V diag(x) V* has spectrum x; it must come back sorted descending
         for n in range(2, 17):
-            if family == "ginibre":
-                m = random_state(n, rng).matrix
-            elif family == "near_pure":
-                m = _conjugated_diagonal(_near_pure_spectrum(n, rng), rng)
-            else:
-                m = _conjugated_diagonal(_degenerate_spectrum(n, rng), rng)
-            state = validate_state(m)
+            x = _SPECTRUM_FAMILIES[family](n, rng)
+            state = validate_state(_conjugated_diagonal(x, rng))
             values, vectors = hermitian_eigensystem(state)
-            reference, _ = jacobi_eigh(state.matrix)
-            assert np.max(np.abs(values[::-1] - reference)) <= 1e-12
+            assert np.max(np.abs(values - np.sort(x)[::-1])) <= 1e-14
             rebuilt = (vectors * values) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - state.matrix)) <= 1e-13
+
+    def test_eigenvectors_orthonormal(self, rng):
+        state = validate_state(random_state(7, rng).matrix)
+        _, vectors = hermitian_eigensystem(state)
+        gram = vectors.conj().T @ vectors
+        np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
+
+    def test_one_by_one(self):
+        values, vectors = hermitian_eigensystem(validate_state(np.array([[1.0]])))
+        assert values[0] == 1.0
+        assert vectors[0, 0] == 1.0
+
+    def test_hand_computed_two_by_two(self):
+        # characteristic polynomial x^2 - x + 3/16 has roots 3/4 and 1/4
+        state = validate_state(np.array([[0.5, 0.25], [0.25, 0.5]]))
+        values, _ = hermitian_eigensystem(state)
+        np.testing.assert_allclose(values, [0.75, 0.25], atol=1e-14)
+
+    def test_complex_offdiagonal(self):
+        m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        values, vectors = hermitian_eigensystem(validate_state(m))
+        np.testing.assert_allclose(values, [0.75, 0.25], atol=1e-14)
+        rebuilt = vectors @ np.diag(values) @ vectors.conj().T
+        np.testing.assert_allclose(rebuilt, m, atol=1e-14)
 
     def test_returned_arrays_are_read_only(self, rng):
         values, vectors = hermitian_eigensystem(validate_state(random_state(4, rng).matrix))
@@ -328,8 +308,6 @@ def test_as_complex_matrix_rejects_empty():
         as_complex_matrix(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="square matrix"):
         validate_state(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="square matrix"):
-        jacobi_eigh(np.zeros((0, 0)))
 
 
 def test_spectrum_value_access():
