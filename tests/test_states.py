@@ -136,6 +136,13 @@ class TestCachedEigensystem:
             rebuilt = (vectors * values) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - state.matrix)) <= 1e-13
 
+    def test_reconstruction_residual(self, rng):
+        for n in (2, 5, 8, 16):
+            state = validate_state(random_state(n, rng).matrix)
+            values, vectors = hermitian_eigensystem(state)
+            rebuilt = vectors @ np.diag(values) @ vectors.conj().T
+            assert np.max(np.abs(rebuilt - state.matrix)) <= 1e-13
+
     def test_eigenvectors_orthonormal(self, rng):
         state = validate_state(random_state(7, rng).matrix)
         _, vectors = hermitian_eigensystem(state)
