@@ -22,7 +22,6 @@ from .equivalence import (
     decide_spectral,
     default_nodes,
     equal_entropy_pair,
-    unitary_witness,
 )
 from .errors import (
     BadNodeCount,
@@ -39,10 +38,8 @@ from .errors import (
     ParseError,
     SingularEndpoint,
     SingularSample,
-    SpectraMismatch,
     TraceNotOne,
     ValidationError,
-    WitnessInconsistency,
 )
 from .matrixio import load_matrix, parse_matrix_file, save_matrix
 from .recovery import (
@@ -98,11 +95,9 @@ __all__ = [
     "RecoveryConfig",
     "SingularEndpoint",
     "SingularSample",
-    "SpectraMismatch",
     "Spectrum",
     "TraceNotOne",
     "ValidationError",
-    "WitnessInconsistency",
     "as_complex_matrix",
     "check_same_dimension",
     "decide_grid",
@@ -128,7 +123,6 @@ __all__ = [
     "sample_log2_determinant",
     "save_matrix",
     "second_derivative_times_determinant",
-    "unitary_witness",
     "validate_state",
     "von_neumann_entropy",
 ]

@@ -9,8 +9,11 @@ coincide. This module offers three deciders:
 * ``decide_nodes`` compares entropy at exactly 2n fixed mixing weights,
   the finitary test; by default the nodes are i/(2n), i = 1..2n.
 
-Whenever a decider answers "equivalent" it also constructs an explicit
-unitary witness U with rho = U sigma U*, built from the two eigenbases.
+All three share one verdict rule: a pair is equivalent iff the sorted
+spectral distance is at most spectrum_tol and, for the curve deciders,
+every entropy gap is at most entropy_tol. Whenever a decider answers
+"equivalent" it also constructs an explicit unitary witness U with
+rho = U sigma U*, built from the two eigenbases.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import EntropyCurve, entropy_of_spectrum
-from .errors import BadNodeCount, SpectraMismatch, WitnessInconsistency
+from .errors import BadNodeCount
 from .states import (
     QuantumState,
     Spectrum,
@@ -43,8 +46,8 @@ class EquivalenceConfig:
     ``nodes`` overrides the default 2n node set (must then have exactly
     2n strictly increasing entries in (0, 1]); ``entropy_tol`` is the
     per-node gap threshold in bits; ``spectrum_tol`` bounds the sorted
-    spectral distance for the oracle and the witness precondition. Both
-    tolerances must be finite and positive.
+    spectral distance, which every decider tests. Both tolerances must be
+    finite and positive.
     """
 
     grid_limit: float = 0.9
@@ -128,30 +131,16 @@ def _sorted_distance(spec_a: Spectrum, spec_b: Spectrum) -> float:
 
 
 def _eigenbasis_map(rho: QuantumState, sigma: QuantumState) -> np.ndarray:
-    """U = V_rho V_sigma*, mapping sigma's k-th eigenvector onto rho's."""
-    _, vectors_rho = hermitian_eigensystem(rho)
-    _, vectors_sigma = hermitian_eigensystem(sigma)
-    return vectors_rho @ vectors_sigma.conj().T
+    """U = V_rho V_sigma*, mapping sigma's k-th eigenvector onto rho's.
 
-
-def unitary_witness(
-    rho: QuantumState,
-    sigma: QuantumState,
-    spectrum_tol: float = EquivalenceConfig.spectrum_tol,
-) -> np.ndarray:
-    """Construct U with rho = U sigma U*, given matching spectra.
-
-    Both eigenbases are ordered by descending eigenvalue, so U maps the
-    k-th eigenvector of sigma onto the k-th eigenvector of rho. Within a
+    Both eigenbases are ordered by descending eigenvalue. Within a
     degenerate eigenvalue group any alignment works: conjugation only sees
     the group eigenspace, and the residual bound, not a particular
     permutation, is the contract.
     """
-    check_same_dimension(rho, sigma)
-    distance = _sorted_distance(hermitian_spectrum(rho), hermitian_spectrum(sigma))
-    if distance > spectrum_tol:
-        raise SpectraMismatch(distance, spectrum_tol)
-    return _eigenbasis_map(rho, sigma)
+    _, vectors_rho = hermitian_eigensystem(rho)
+    _, vectors_sigma = hermitian_eigensystem(sigma)
+    return vectors_rho @ vectors_sigma.conj().T
 
 
 def _decide(
@@ -163,26 +152,24 @@ def _decide(
 ) -> EquivalenceReport:
     """The one decision body: each spectrum is read once.
 
-    Without nodes the verdict is the sorted-spectrum comparison itself;
-    with nodes it is the entropy-gap comparison at those weights, and an
-    equivalent verdict whose spectra disagree raises WitnessInconsistency.
+    Entropy values move only as the square of a spectral perturbation, so
+    gaps within entropy_tol with a distance above spectrum_tol mean the
+    pair lies below the curve test's resolution: it is not_equivalent.
     """
     spec_a = hermitian_spectrum(rho)
     spec_b = hermitian_spectrum(sigma)
     distance = _sorted_distance(spec_a, spec_b)
 
+    equivalent = distance <= cfg.spectrum_tol
     if nodes is None:
         max_gap, gaps = 0.0, ()
-        equivalent = distance <= cfg.spectrum_tol
     else:
         gap_values = np.abs(
             EntropyCurve(spec_a).values(nodes) - EntropyCurve(spec_b).values(nodes)
         )
         gaps = tuple(zip(nodes.tolist(), gap_values.tolist()))
         max_gap = float(np.max(gap_values))
-        equivalent = max_gap <= cfg.entropy_tol
-        if equivalent and distance > cfg.spectrum_tol:
-            raise WitnessInconsistency(max_gap, distance)
+        equivalent = equivalent and max_gap <= cfg.entropy_tol
 
     return EquivalenceReport(
         verdict=EQUIVALENT if equivalent else NOT_EQUIVALENT,
@@ -220,9 +207,8 @@ def decide_grid(
 
     Samples grid_points uniform nodes strictly inside (0, grid_limit):
     lam_j = grid_limit * j / (grid_points + 1). Verdict is "equivalent"
-    iff every gap is at most entropy_tol; a witness is then attached.
-    Raises WitnessInconsistency if the curves agree but the spectra do not
-    (entropy_tol too loose for spectrum_tol).
+    iff every gap is at most entropy_tol and the sorted spectra agree
+    within spectrum_tol; a witness is then attached.
     """
     check_same_dimension(rho, sigma)
     m = cfg.grid_points

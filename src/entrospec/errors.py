@@ -86,32 +86,6 @@ class DimensionMismatch(EntrospecError):
         )
 
 
-class SpectraMismatch(EntrospecError):
-    """A unitary witness was requested for spectrally distinct states."""
-
-    def __init__(self, distance: float, tol: float):
-        self.distance = distance
-        self.tol = tol
-        super().__init__(
-            f"no unitary witness exists: sorted spectra differ by "
-            f"{distance:.3e}, more than {tol:.1e}"
-        )
-
-
-class WitnessInconsistency(EntrospecError):
-    """Entropy comparison called two states equivalent but their spectra
-    disagree: the entropy tolerance is too loose for the spectrum tolerance.
-    """
-
-    def __init__(self, max_gap: float, distance: float):
-        self.max_gap = max_gap
-        self.distance = distance
-        super().__init__(
-            f"entropy gaps (max {max_gap:.3e} bits) are inside tolerance but "
-            f"spectra differ by {distance:.3e}; tolerances are misconfigured"
-        )
-
-
 class BadNodeCount(EntrospecError):
     def __init__(self, got: int, needed: int):
         self.got = got

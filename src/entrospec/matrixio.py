@@ -13,7 +13,7 @@ exactly.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -36,9 +36,10 @@ def _check_grid(name: str, grid, n: int) -> list[list[float]]:
                 raise ParseError(
                     f"field '{name}', row {i}, column {j}: not a number: {entry!r}"
                 )
-            if not math.isfinite(entry):
+            # an exact int/float comparison: float() of a larger int overflows
+            if not abs(entry) <= sys.float_info.max:
                 raise ParseError(
-                    f"field '{name}', row {i}, column {j}: non-finite value"
+                    f"field '{name}', row {i}, column {j}: non-finite or out-of-range value"
                 )
         rows.append([float(x) for x in row])
     return rows
@@ -48,7 +49,7 @@ def parse_matrix_file(text: str) -> ComplexMatrix:
     """Parse a matrix file's text; every problem raises ParseError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too-long ints, deep nesting
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object with keys n, re, im")
@@ -58,9 +59,9 @@ def parse_matrix_file(text: str) -> ComplexMatrix:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f"field 'n' must be a positive integer, got {n!r}")
-    # assembled componentwise: re + 1j*im would turn -0.0 into +0.0
-    out = np.empty((n, n), dtype=np.complex128)
-    out.real = _check_grid("re", doc["re"], n)
+    # assembled componentwise, and only from a checked grid: re + 1j*im
+    # would turn -0.0 into +0.0, and n alone may ask for any size
+    out = np.array(_check_grid("re", doc["re"], n), dtype=np.complex128)
     out.imag = _check_grid("im", doc["im"], n)
     return out
 
@@ -70,7 +71,7 @@ def load_matrix(path: str) -> ComplexMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_matrix_file(text)
 

@@ -9,6 +9,11 @@ def diag_state(*eigenvalues: float) -> QuantumState:
     return validate_state(np.diag(np.asarray(eigenvalues, dtype=np.complex128)))
 
 
+def conjugate(state: QuantumState, u: np.ndarray) -> QuantumState:
+    """The validated state u rho u*."""
+    return validate_state(u @ state.matrix @ u.conj().T)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -183,14 +183,14 @@ class TestEquivCommand:
         )
         assert code == 1
 
-    def test_inconsistent_tolerance_exits_1(self, tmp_path, capsys):
-        # an absurd entropy tolerance accepts distinct spectra; the decider
-        # refuses to emit the contradictory verdict
+    def test_loose_entropy_tolerance_exits_3(self, tmp_path, capsys):
+        # an absurd entropy tolerance passes every gap of distinct spectra;
+        # the sorted spectra still decide the pair
         a = write_state(tmp_path, "a.json", np.diag([1.0, 0.0]))
         b = write_state(tmp_path, "b.json", np.eye(2) / 2)
-        code, _, err = run(capsys, ["equiv", a, b, "--entropy-tol", "10.0"])
-        assert code == 1
-        assert "entrospec:" in err
+        code, out, _ = run(capsys, ["equiv", a, b, "--entropy-tol", "10.0"])
+        assert code == 3
+        assert json.loads(out)["verdict"] == "not_equivalent"
 
     def test_nan_tolerance_exits_1(self, tmp_path, capsys):
         # NaN fails every comparison: unchecked, it decides a state
@@ -367,6 +367,27 @@ class TestMatrixFiles:
     def test_bool_entry_rejected(self):
         with pytest.raises(ParseError, match="not a number"):
             parse_matrix_file('{"n": 1, "re": [[true]], "im": [[0]]}')
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"n": 1000000, "re": [], "im": []}',
+            b'{"n": 1, "re": [[' + b"9" * 400 + b']], "im": [[0]]}',
+            b'{"n": 1, "re": [[' + b"9" * 5000 + b']], "im": [[0]]}',
+            b"[" * 100000,
+            b'{"n": 1, "re": [[1.0]], "im": [[0]]}\xff',
+        ],
+        ids=["huge-n", "int-beyond-double", "int-beyond-digit-limit", "deep-nesting",
+             "not-utf8"],
+    )
+    def test_hostile_file_is_a_parse_error(self, tmp_path, capsys, content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_matrix(str(path))
+        code, _, err = run(capsys, ["entropy", str(path)])
+        assert code == 1
+        assert "Traceback" not in err
 
     def test_non_finite_entry(self):
         with pytest.raises(ParseError, match="non-finite"):

@@ -16,29 +16,19 @@ from entrospec import (
     oracle_from_state,
     random_state,
     random_unitary,
-    unitary_witness,
     validate_state,
     von_neumann_entropy,
 )
 from entrospec import equivalence
-from entrospec.errors import (
-    BadNodeCount,
-    DimensionMismatch,
-    SpectraMismatch,
-    WitnessInconsistency,
-)
+from entrospec.errors import BadNodeCount, DimensionMismatch
 
-from conftest import diag_state
-
-
-def conjugate(state, u):
-    return validate_state(u @ state.matrix @ u.conj().T)
+from conftest import conjugate, diag_state
 
 
 class TestUnitaryWitness:
     def test_identity_pair(self, rng):
         state = random_state(3, rng)
-        w = unitary_witness(state, state)
+        w = decide_spectral(state, state).witness
         assert np.max(np.abs(state.matrix - w @ state.matrix @ w.conj().T)) <= 1e-8
 
     def test_conjugate_pair_residuals(self, rng):
@@ -46,7 +36,7 @@ class TestUnitaryWitness:
             n = int(rng.integers(2, 9))
             sigma = random_state(n, rng)
             rho = conjugate(sigma, random_unitary(n, rng))
-            w = unitary_witness(rho, sigma)
+            w = decide_spectral(rho, sigma).witness
             assert np.max(np.abs(rho.matrix - w @ sigma.matrix @ w.conj().T)) <= 1e-8
             assert np.max(np.abs(w @ w.conj().T - np.eye(n))) <= 1e-10
 
@@ -54,19 +44,20 @@ class TestUnitaryWitness:
         # same spectrum written in the flipped basis
         rho = diag_state(0.75, 0.25)
         sigma = diag_state(0.25, 0.75)
-        w = unitary_witness(rho, sigma)
+        w = decide_spectral(rho, sigma).witness
         assert np.max(np.abs(rho.matrix - w @ sigma.matrix @ w.conj().T)) <= 1e-8
 
     def test_degenerate_spectrum(self, rng):
         # repeated eigenvalues: any in-group alignment must still conjugate
         base = diag_state(0.4, 0.4, 0.2)
         rotated = conjugate(base, random_unitary(3, rng))
-        w = unitary_witness(base, rotated)
+        w = decide_spectral(base, rotated).witness
         assert np.max(np.abs(base.matrix - w @ rotated.matrix @ w.conj().T)) <= 1e-8
 
     def test_rejects_distinct_spectra(self):
-        with pytest.raises(SpectraMismatch):
-            unitary_witness(diag_state(1.0, 0.0), diag_state(0.5, 0.5))
+        report = decide_spectral(diag_state(1.0, 0.0), diag_state(0.5, 0.5))
+        assert not report.equivalent
+        assert report.witness is None
 
 
 class TestDecideGrid:
@@ -98,9 +89,12 @@ class TestDecideGrid:
         assert report.equivalent and report.witness is not None
 
     def test_loose_entropy_tolerance_is_flagged(self):
+        # every gap passes the absurd tolerance; the spectra still decide
         cfg = EquivalenceConfig(entropy_tol=10.0)
-        with pytest.raises(WitnessInconsistency):
-            decide_grid(diag_state(1.0, 0.0), diag_state(0.5, 0.5), cfg)
+        report = decide_grid(diag_state(1.0, 0.0), diag_state(0.5, 0.5), cfg)
+        assert not report.equivalent
+        assert report.witness is None
+        assert report.max_entropy_gap <= 10.0
 
 
 class TestDecideNodes:
@@ -169,6 +163,21 @@ class TestDecideSpectral:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             decide_spectral(random_state(2, rng), random_state(3, rng))
+
+
+@pytest.mark.parametrize(
+    "decide", [decide_spectral, decide_grid, decide_nodes], ids=["spectral", "grid", "nodes"]
+)
+@pytest.mark.parametrize("delta", [3e-8, 1e-7, 1e-6, 1e-5])
+def test_split_degenerate_pair_is_not_equivalent(rng, decide, delta):
+    # entropy values move only as delta**2, so every curve gap passes
+    # entropy_tol while the spectra differ by delta > spectrum_tol
+    a = conjugate(diag_state(0.4, 0.4, 0.2), random_unitary(3, rng))
+    b = conjugate(diag_state(0.4 + delta, 0.4 - delta, 0.2), random_unitary(3, rng))
+    report = decide(a, b)
+    assert not report.equivalent
+    assert report.witness is None
+    assert report.max_entropy_gap <= report.entropy_tol
 
 
 class TestEqualEntropyPair:
@@ -303,7 +312,6 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
     for decide in (decide_nodes, decide_grid, decide_spectral):
         assert decide(rho, sigma).witness is not None
         assert not decide(rho, other).equivalent
-    unitary_witness(rho, sigma)
     von_neumann_entropy(rho)
     EntropyCurve(hermitian_spectrum(rho)).values(default_nodes(8))
     oracle_from_state(rho).value_fn(0.5)
