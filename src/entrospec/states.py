@@ -1,14 +1,15 @@
-"""Density matrices, their validation, and eigendecomposition.
+"""Density matrices, their one checked constructor, and eigendecomposition.
 
-Each state is decomposed once, by LAPACK through ``np.linalg.eigh``, the
-first time anything asks for its eigenvalues (validation does, for the PSD
-check). The result is cached on the state, and ``QuantumState`` makes its
-matrix read-only so the cache cannot go stale; spectra, eigenbases,
-entropies, curves and unitary witnesses all read that one decomposition.
+Each state is decomposed once, by LAPACK through ``np.linalg.eigh``, when
+it is constructed (the PSD check reads the eigenvalues). The result is
+cached on the state, and the stored matrix is read-only so the cache
+cannot go stale; spectra, eigenbases, entropies, curves and unitary
+witnesses all read that one decomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,7 +29,7 @@ from .errors import (
 ComplexMatrix = np.ndarray
 
 
-# validate_state's thresholds (Hermiticity residual, trace error, most
+# QuantumState's thresholds (Hermiticity residual, trace error, most
 # negative eigenvalue).
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -49,9 +50,16 @@ def as_complex_matrix(data) -> ComplexMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a density matrix, sorted descending, summing to 1."""
+    """Eigenvalues of a density matrix, sorted descending, summing to 1.
+
+    Only finiteness is checked (ValueError), not the order or the sum.
+    """
 
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError(f"spectrum values must be finite, got {self.values!r}")
 
     @property
     def dimension(self) -> int:
@@ -66,24 +74,51 @@ class Spectrum:
         return np.asarray(self.values, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
-    """A validated density matrix together with its dimension.
+    """A density matrix, checked when it is constructed, and its dimension.
 
-    The eigensystem is computed on first use and cached, so the matrix
-    must not change afterwards: construction makes it read-only in place.
+    Checks run in a fixed order so error reporting is deterministic:
+    finite entries, Hermiticity, unit trace, positive semidefiniteness;
+    every comparison fails on NaN. A matrix within ``HERM_TOL`` of
+    Hermitian is symmetrized to M/2 + M^*/2 (halved first, so no finite
+    entry overflows) and stored as a read-only copy, so the eigensystem
+    cached by the PSD check cannot go stale. States compare by identity.
     """
 
     matrix: ComplexMatrix = field(repr=False)
-    dimension: int
+    dimension: int = field(init=False)
 
     def __post_init__(self):
-        if self.matrix.shape != (self.dimension, self.dimension):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"dimension {self.dimension}"
-            )
-        self.matrix.setflags(write=False)
+        m = as_complex_matrix(self.matrix)
+        finite = np.isfinite(m)
+        if not finite.all():
+            bad = np.argwhere(~finite)
+            first = (int(bad[0][0]), int(bad[0][1]))
+            raise NotFinite(len(bad), first, complex(m[first]))
+
+        half = 0.5 * m
+        half_adjoint = half.conj().T
+        herm_residual = 2.0 * float(np.max(np.abs(half - half_adjoint)))
+        if not herm_residual <= HERM_TOL:
+            raise NotHermitian(herm_residual, HERM_TOL)
+        m = half + half_adjoint
+
+        # n finite diagonal entries can still sum past the double range
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = complex(np.trace(m))
+        if not abs(trace - 1.0) <= TRACE_TOL:
+            raise TraceNotOne(trace, TRACE_TOL)
+
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dimension", m.shape[0])
+        try:
+            min_eig = float(self._eigensystem[0][-1])
+        except np.linalg.LinAlgError:  # entries near the double range; no state has any
+            min_eig = math.nan
+        if not min_eig >= -PSD_TOL:
+            raise NotPositiveSemidefinite(min_eig, PSD_TOL)
 
     @cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -96,56 +131,22 @@ class QuantumState:
 
 
 def validate_state(data) -> QuantumState:
-    """Check density-matrix invariants and return a validated state.
-
-    Checks run in a fixed order so error reporting is deterministic:
-    finite entries first (NaN fails every comparison below, so it would
-    otherwise pass them all), then Hermiticity, then unit trace, then
-    positive semidefiniteness. A matrix within ``HERM_TOL`` of Hermitian
-    is symmetrized to (M + M^*) / 2 before further checks, so downstream
-    code always sees an exactly Hermitian matrix. The stored matrix is a
-    read-only copy, and the eigendecomposition made for the PSD check
-    stays cached on the returned state.
-    """
-    m = as_complex_matrix(data)
-
-    finite = np.isfinite(m)
-    if not finite.all():
-        bad = np.argwhere(~finite)
-        first = (int(bad[0][0]), int(bad[0][1]))
-        raise NotFinite(len(bad), first, complex(m[first]))
-
-    herm_residual = float(np.max(np.abs(m - m.conj().T)))
-    if herm_residual > HERM_TOL:
-        raise NotHermitian(herm_residual, HERM_TOL)
-    m = 0.5 * (m + m.conj().T)
-
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise TraceNotOne(trace, TRACE_TOL)
-
-    state = QuantumState(matrix=m, dimension=m.shape[0])
-    min_eig = float(state._eigensystem[0][-1])
-    if min_eig < -PSD_TOL:
-        raise NotPositiveSemidefinite(min_eig, PSD_TOL)
-
-    return state
+    """The checked state of ``data``; the same as ``QuantumState(data)``."""
+    return QuantumState(data)
 
 
 def hermitian_spectrum(state: QuantumState) -> Spectrum:
     """Spectrum of a validated state: clamped to [0, 1] and renormalized.
 
-    Clamping removes the tiny negative round-off a PSD check already
-    bounded by ``PSD_TOL``; renormalization restores an exact unit sum so
+    Clamping removes the tiny negative round-off the PSD check already
+    bounded by ``PSD_TOL``; renormalization by the clamped sum (at least
+    1 - (n+1) * 1e-9 on a checked state) restores an exact unit sum so
     entropy formulas downstream see a genuine probability vector.
     Clamping and scaling keep the cached descending order.
     """
     values, _ = state._eigensystem
     clamped = np.clip(values, 0.0, 1.0)
-    total = float(np.sum(clamped))
-    if total <= 0.0:
-        raise NotPositiveSemidefinite(float(values[-1]), PSD_TOL)
-    clamped = clamped / total
+    clamped = clamped / float(np.sum(clamped))
     return Spectrum(values=tuple(clamped.tolist()))
 
 
@@ -167,9 +168,7 @@ def random_state(n: int, rng: np.random.Generator) -> QuantumState:
         raise ValueError(f"dimension must be positive, got {n}")
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
-    m = m / np.trace(m).real
-    m = 0.5 * (m + m.conj().T)
-    return QuantumState(matrix=m, dimension=n)
+    return QuantumState(m / np.trace(m).real)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,7 +196,7 @@ def depolarize(state: QuantumState, lam: float) -> QuantumState:
         raise LambdaOutOfRange(lam, "[0, 1]")
     n = state.dimension
     mixed = lam * state.matrix + (1.0 - lam) / n * np.eye(n, dtype=np.complex128)
-    return QuantumState(matrix=mixed, dimension=n)
+    return QuantumState(mixed)
 
 
 def check_same_dimension(a: QuantumState, b: QuantumState) -> int:

@@ -1,4 +1,4 @@
-"""Property tests of the deciders and the matrix files, drawn by hypothesis.
+"""Property tests of the state constructor, the deciders and the matrix files.
 
 Every pair is built from a drawn seed through random_state and
 random_unitary, so a failing example replays from its seed alone.
@@ -6,12 +6,16 @@ Examples are derandomized and few, which keeps the suite's run time and
 outcome fixed.
 """
 
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entrospec import (
+    QuantumState,
+    ValidationError,
     decide_grid,
     decide_nodes,
     decide_spectral,
@@ -20,6 +24,7 @@ from entrospec import (
     random_state,
     random_unitary,
     save_matrix,
+    validate_state,
 )
 
 from conftest import conjugate, diag_state
@@ -29,6 +34,42 @@ PROPERTY = settings(deadline=None, max_examples=40, derandomize=True, database=N
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
+
+
+@PROPERTY
+@given(seed=seeds, weights=st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=2, max_size=8))
+def test_constructor_accepts_every_conjugated_simplex_point(seed, weights):
+    # x on the simplex, exact zeros included; V diag(x) V* has spectrum x
+    assume(sum(weights) > 0.0)
+    x = np.asarray(weights) / sum(weights)
+    u = random_unitary(len(x), np.random.default_rng(seed))
+    state = validate_state(u @ np.diag(x) @ u.conj().T)
+    assert np.array_equal(state.matrix, state.matrix.conj().T)
+    assert not state.matrix.flags.writeable
+    spectrum = hermitian_spectrum(state).as_array()
+    assert np.max(np.abs(spectrum - np.sort(x)[::-1])) <= 1e-13
+
+
+# entries up to the double range, where naive sums and symmetrization overflow
+huge = st.floats(min_value=-1e308, max_value=1e308) | st.floats(min_value=-1.0, max_value=1.0)
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(min_value=1, max_value=4), hermitian=st.booleans())
+def test_constructor_raises_or_returns_a_finite_spectrum(data, n, hermitian):
+    grid = arrays(np.float64, (n, n), elements=huge, fill=st.nothing())
+    m = data.draw(grid) + 1j * data.draw(grid)
+    if hermitian:
+        m = 0.5 * m + 0.5 * m.conj().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state = QuantumState(m)
+        except ValidationError:
+            return
+        spectrum = hermitian_spectrum(state).as_array()
+    assert np.isfinite(spectrum).all()
+    assert abs(spectrum.sum() - 1.0) <= 1e-12
 
 
 @PROPERTY

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from entrospec import (
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
+    QuantumState,
     Spectrum,
     TraceNotOne,
     ValidationError,
@@ -18,6 +22,7 @@ from entrospec import (
     random_unitary,
     validate_state,
 )
+from entrospec.cli import main
 from entrospec.errors import LambdaOutOfRange
 
 from conftest import diag_state
@@ -87,6 +92,62 @@ class TestValidateState:
             assert "1.1" in str(exc)
         else:
             pytest.fail("expected TraceNotOne")
+
+
+def _eigh_does_not_converge() -> np.ndarray:
+    # Hermitian with unit trace; numpy 2.4's LAPACK eigh gives up on it
+    m = np.eye(5, dtype=np.complex128) / 5
+    m[0, 2] = m[2, 0] = 5e307
+    m[0, 1], m[1, 0] = -4.999999999999975e307j, 4.999999999999975e307j
+    m[2, 3], m[3, 2] = -1.07402714e8j, 1.07402714e8j
+    return m
+
+
+# Each breaks a density-matrix invariant. The last five are finite, but
+# naive sums, symmetrization or the eigensolver overflow to inf or NaN.
+_INVALID_MATRICES = {
+    "nan-entry": np.diag([0.5, np.nan]),
+    "not-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+    "trace-two": np.eye(2),
+    "negative-eigenvalue": np.diag([2.0, -1.0]),
+    "overflow-trace-zero": np.diag([1e308, -1e308]),
+    "overflow-antisymmetric": np.array([[0.5, 1e308], [-1e308, 0.5]]),
+    "overflow-trace-sum": np.diag([1e308, 1e308, -1e308]),
+    "overflow-modulus": np.array([[0.5, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 0.5]]),
+    "eigh-no-convergence": _eigh_does_not_converge(),
+}
+
+
+class TestCheckedConstructor:
+    @pytest.mark.parametrize("name", list(_INVALID_MATRICES))
+    def test_every_path_to_a_state_checks(self, name, tmp_path, capsys):
+        m = _INVALID_MATRICES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as checked:
+                validate_state(m)
+            with pytest.raises(ValidationError) as raw:
+                QuantumState(m)
+            assert type(raw.value) is type(checked.value)
+            path = tmp_path / "state.json"
+            # json writes NaN as a bare token, which the parser rejects
+            path.write_text(json.dumps({"n": len(m), "re": m.real.tolist(), "im": m.imag.tolist()}))
+            assert main(["entropy", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("entrospec:") and "Traceback" not in err
+
+    def test_dimension_comes_from_the_matrix(self):
+        state = QuantumState(np.eye(3) / 3)
+        assert state.dimension == 3
+        assert repr(state) == "QuantumState(dimension=3)"
+        with pytest.raises(TypeError):
+            QuantumState(np.eye(3) / 3, 3)
+
+    def test_states_compare_and_hash_by_identity(self):
+        a = validate_state(np.eye(2) / 2)
+        assert a == a
+        assert a != validate_state(a.matrix)
+        assert a in {a} and validate_state(a.matrix) not in {a}
 
 
 def _conjugated_diagonal(values, rng) -> np.ndarray:
@@ -321,3 +382,9 @@ def test_spectrum_value_access():
     spectrum = Spectrum(values=(0.75, 0.25))
     assert spectrum.dimension == 2
     np.testing.assert_allclose(spectrum.as_array(), [0.75, 0.25])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(values=(bad, 1.0))
