@@ -45,8 +45,6 @@ from .matrixio import load_matrix, parse_matrix_file, save_matrix
 from .recovery import (
     EntropyOracle,
     RecoveredSpectrum,
-    RecoveryConfig,
-    default_recovery_config,
     fit_determinant_polynomial,
     oracle_from_spectrum,
     oracle_from_state,
@@ -92,7 +90,6 @@ __all__ = [
     "PropertyResult",
     "QuantumState",
     "RecoveredSpectrum",
-    "RecoveryConfig",
     "SingularEndpoint",
     "SingularSample",
     "Spectrum",
@@ -104,7 +101,6 @@ __all__ = [
     "decide_nodes",
     "decide_spectral",
     "default_nodes",
-    "default_recovery_config",
     "depolarize",
     "determinant_polynomial",
     "entropy_of_spectrum",

@@ -15,7 +15,6 @@ messages go to stderr. Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -40,12 +39,7 @@ from .errors import (
     ParseError,
 )
 from .matrixio import load_matrix
-from .recovery import (
-    RecoveryConfig,
-    default_recovery_config,
-    oracle_from_state,
-    recover_spectrum,
-)
+from .recovery import oracle_from_state, recover_spectrum
 from .selftest import run_selftest
 from .states import QuantumState, hermitian_spectrum, validate_state
 
@@ -114,10 +108,6 @@ def _build_parser() -> _Parser:
     p_recover.add_argument("--derivative", choices=("analytic", "fd"), default="analytic")
     p_recover.add_argument("--nodes", type=float, nargs="+",
                            help="fitting nodes; default is Chebyshev-spaced")
-    p_recover.add_argument("--lambda-max", type=float)
-    p_recover.add_argument("--fd-step", type=float)
-    p_recover.add_argument("--coeff-trim-tol", type=float)
-    p_recover.add_argument("--root-imag-tol", type=float)
 
     p_selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
     p_selftest.add_argument("--seed", type=int, default=None,
@@ -218,20 +208,9 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     state = _load_state(args.state_file)
     n = state.dimension
-    rec_cfg = (
-        RecoveryConfig(nodes=args.nodes) if args.nodes else default_recovery_config(n)
-    )
-    overrides = {
-        name: getattr(args, name)
-        for name in ("lambda_max", "fd_step", "coeff_trim_tol", "root_imag_tol")
-        if getattr(args, name) is not None
-    }
-    if overrides:
-        rec_cfg = dataclasses.replace(rec_cfg, **overrides)
-
     truth = hermitian_spectrum(state)
     oracle = oracle_from_state(state, include_derivative=args.derivative == "analytic")
-    result = recover_spectrum(oracle, rec_cfg)
+    result = recover_spectrum(oracle, args.nodes)
     error = float(
         np.max(np.abs(np.asarray(result.values) - truth.as_array()))
     )

@@ -130,7 +130,7 @@ class ComplexRoots(EntrospecError):
 
 
 class DegreeDeficit(EntrospecError):
-    """Root finding returned fewer roots than the trimmed degree requires."""
+    """Every recovered eigenvalue clipped to zero, leaving nothing to normalize."""
 
     def __init__(self, got: int, expected: int):
         self.got = got

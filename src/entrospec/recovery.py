@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,11 @@ from .errors import ComplexRoots, DegreeDeficit, IllConditioned, OracleDomain
 from .states import QuantumState, Spectrum, hermitian_spectrum
 
 FIT_RESIDUAL_BOUND = 1e-3
+LAMBDA_MAX = 0.9
+VALIDATION_NODES = (0.15, 0.35, 0.55, 0.75)
+FD_STEP = 1e-6
+COEFF_TRIM_TOL = 1e-7
+ROOT_IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,11 @@ class EntropyOracle:
     value_fn: Callable[[float], float]
     derivative_fn: Optional[Callable[[float], float]]
     dimension: int
+
+    def __post_init__(self):
+        if (isinstance(self.dimension, bool) or not isinstance(self.dimension, int)
+                or self.dimension < 1):
+            raise ValueError(f"dimension must be a positive int, got {self.dimension!r}")
 
 
 def oracle_from_state(
@@ -67,51 +77,16 @@ def _chebyshev_nodes(count: int, low: float, high: float) -> tuple[float, ...]:
     return tuple(float(v) for v in np.sort(mapped))
 
 
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Node placement and thresholds for the recovery pipeline.
-
-    ``nodes`` are the fitting nodes (at least n + 1 of them, all in
-    (0, lambda_max]); ``validation_nodes`` are held out of the fit and
-    used only to measure the residual that is reported and bounded.
-    """
-
-    nodes: tuple[float, ...]
-    validation_nodes: tuple[float, ...] = (0.15, 0.35, 0.55, 0.75)
-    lambda_max: float = 0.9
-    fd_step: float = 1e-6
-    coeff_trim_tol: float = 1e-7
-    root_imag_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not 0.0 < self.lambda_max < 1.0:
-            raise ValueError(f"lambda_max must be in (0, 1), got {self.lambda_max}")
-        for name in ("fd_step", "coeff_trim_tol", "root_imag_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        for label, nodes in (("nodes", self.nodes), ("validation_nodes", self.validation_nodes)):
-            values = tuple(float(x) for x in nodes)
-            if not values:
-                raise ValueError(f"{label} must not be empty")
-            if len(set(values)) != len(values):
-                raise ValueError(f"{label} must be distinct")
-            if any(not 0.0 < x <= self.lambda_max for x in values):
-                raise ValueError(
-                    f"{label} must lie in (0, {self.lambda_max}], got {values}"
-                )
-            object.__setattr__(self, label, values)
-
-
-def default_recovery_config(n: int) -> RecoveryConfig:
-    """n + 5 Chebyshev fitting nodes on [0.1, 0.9] plus 4 validation nodes.
-
-    Chebyshev spacing keeps the Vandermonde system well conditioned; the
-    interval stays clear of the removable singularity at 0 and of weight 1,
-    where the determinant vanishes for rank-deficient states.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    return RecoveryConfig(nodes=_chebyshev_nodes(n + 5, 0.1, 0.9))
+def _checked_nodes(nodes) -> tuple[float, ...]:
+    """Fitting nodes as floats: non-empty, distinct, all in (0, LAMBDA_MAX]."""
+    values = tuple(float(x) for x in nodes)
+    if not values:
+        raise ValueError("nodes must not be empty")
+    if len(set(values)) != len(values):
+        raise ValueError("nodes must be distinct")
+    if any(not 0.0 < x <= LAMBDA_MAX for x in values):
+        raise ValueError(f"nodes must lie in (0, {LAMBDA_MAX}], got {values}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -135,24 +110,22 @@ class RecoveredSpectrum:
         return len(self.values)
 
 
-def sample_log2_determinant(
-    oracle: EntropyOracle, lam: float, cfg: RecoveryConfig
-) -> float:
+def sample_log2_determinant(oracle: EntropyOracle, lam: float) -> float:
     """Sample the log2 determinant of the mixed state at one weight.
 
     Computes n * (lam * S'(lam) - S(lam)) from the oracle. The derivative
     comes from ``derivative_fn`` when available, otherwise from a central
-    difference with step fd_step * max(lam, 0.1), shrunk as needed so both
+    difference with step FD_STEP * max(lam, 0.1), shrunk as needed so both
     probe points stay inside (0, 1). A non-finite sample raises
     IllConditioned: no fit can be trusted on it.
     """
-    if not 0.0 < lam <= cfg.lambda_max:
-        raise OracleDomain(lam, f"(0, {cfg.lambda_max}]")
+    if not 0.0 < lam <= LAMBDA_MAX:
+        raise OracleDomain(lam, f"(0, {LAMBDA_MAX}]")
     n = oracle.dimension
     if oracle.derivative_fn is not None:
         derivative = oracle.derivative_fn(lam)
     else:
-        h = cfg.fd_step * max(lam, 0.1)
+        h = FD_STEP * max(lam, 0.1)
         h = min(h, 0.5 * lam, 0.5 * (1.0 - lam))
         if h <= 0.0:
             raise OracleDomain(lam, "(0, 1) with room for finite differences")
@@ -164,7 +137,7 @@ def sample_log2_determinant(
 
 
 def fit_determinant_polynomial(
-    oracle: EntropyOracle, cfg: RecoveryConfig
+    oracle: EntropyOracle, nodes: Optional[Sequence[float]] = None
 ) -> tuple[DeterminantPolynomial, float]:
     """Least-squares fit of the degree-n determinant polynomial.
 
@@ -172,12 +145,18 @@ def fit_determinant_polynomial(
     the Vandermonde least-squares system for coefficients of degree 0..n,
     then pins the constant coefficient to its analytically known value
     (1/n)^n. Returns the polynomial and the validation residual: the max
-    log2-determinant mismatch at the held-out nodes. Raises IllConditioned
-    when that residual exceeds 1e-3, which signals a noisy or inconsistent
-    oracle rather than a fixable fit, and when 2**sample overflows.
+    log2-determinant mismatch at the held-out VALIDATION_NODES. Raises
+    IllConditioned when that residual exceeds FIT_RESIDUAL_BOUND, which
+    signals a noisy or inconsistent oracle rather than a fixable fit, when
+    2**sample overflows, and when a fitted coefficient is not finite.
     """
     n = oracle.dimension
-    nodes = np.asarray(cfg.nodes)
+    # default: n + 5 Chebyshev nodes, which keep the Vandermonde system well
+    # conditioned, clear of the removable singularity at 0 and of weight 1,
+    # where the determinant vanishes for rank-deficient states
+    nodes = np.asarray(
+        _chebyshev_nodes(n + 5, 0.1, LAMBDA_MAX) if nodes is None else _checked_nodes(nodes)
+    )
     if len(nodes) < n + 1:
         raise ValueError(
             f"need at least {n + 1} fitting nodes for dimension {n}, "
@@ -186,13 +165,15 @@ def fit_determinant_polynomial(
 
     samples = np.empty(len(nodes))
     for i, lam in enumerate(nodes):
-        log2_det = sample_log2_determinant(oracle, float(lam), cfg)
+        log2_det = sample_log2_determinant(oracle, float(lam))
         try:
             samples[i] = 2.0 ** log2_det
         except OverflowError:  # no state's sample does: its log2 det is <= 0
             raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND) from None
     vander = np.polynomial.polynomial.polyvander(nodes, n)
     coeffs, _, _, _ = np.linalg.lstsq(vander, samples, rcond=None)
+    if not np.all(np.isfinite(coeffs)):
+        raise IllConditioned(math.inf, FIT_RESIDUAL_BOUND)
     coeffs[0] = (1.0 / n) ** n
 
     poly = DeterminantPolynomial(
@@ -200,12 +181,12 @@ def fit_determinant_polynomial(
     )
 
     residual = 0.0
-    for lam in cfg.validation_nodes:
+    for lam in VALIDATION_NODES:
         predicted = float(poly(lam))
-        if predicted <= 0.0:
-            residual = float("inf")
+        if not predicted > 0.0:
+            residual = math.inf
             break
-        observed = sample_log2_determinant(oracle, lam, cfg)
+        observed = sample_log2_determinant(oracle, lam)
         residual = max(residual, abs(float(np.log2(predicted)) - observed))
     if not residual <= FIT_RESIDUAL_BOUND:
         raise IllConditioned(residual, FIT_RESIDUAL_BOUND)
@@ -213,12 +194,13 @@ def fit_determinant_polynomial(
 
 
 def recover_spectrum(
-    oracle: EntropyOracle, cfg: Optional[RecoveryConfig] = None
+    oracle: EntropyOracle, nodes: Optional[Sequence[float]] = None
 ) -> RecoveredSpectrum:
     """Reconstruct the full sorted spectrum from the entropy oracle.
 
-    Fits the determinant polynomial, trims trailing coefficients below
-    coeff_trim_tol relative to the largest one (each trimmed degree is an
+    Fits the determinant polynomial at ``nodes`` (default: see
+    fit_determinant_polynomial), trims trailing coefficients below
+    COEFF_TRIM_TOL relative to the largest one (each trimmed degree is an
     eigenvalue exactly 1/n: a zero shift makes its factor the constant
     1/n, lowering the polynomial degree), roots the remainder via the
     companion matrix, and maps every root r to the eigenvalue
@@ -226,12 +208,10 @@ def recover_spectrum(
     and renormalized to unit sum.
     """
     n = oracle.dimension
-    if cfg is None:
-        cfg = default_recovery_config(n)
-    poly, residual = fit_determinant_polynomial(oracle, cfg)
+    poly, residual = fit_determinant_polynomial(oracle, nodes)
     coeffs = np.asarray(poly.coefficients)
 
-    threshold = cfg.coeff_trim_tol * float(np.max(np.abs(coeffs)))
+    threshold = COEFF_TRIM_TOL * float(np.max(np.abs(coeffs)))
     effective_degree = 0
     for k in range(n, -1, -1):
         if abs(coeffs[k]) > threshold:
@@ -242,12 +222,12 @@ def recover_spectrum(
     if effective_degree == 0:
         eigenvalues = np.full(n, 1.0 / n)
     else:
+        # the leading coefficient is nonzero, so there are exactly
+        # effective_degree roots
         roots = np.polynomial.polynomial.polyroots(coeffs[: effective_degree + 1])
-        if len(roots) != effective_degree:
-            raise DegreeDeficit(len(roots), effective_degree)
-        max_imag = float(np.max(np.abs(roots.imag))) if len(roots) else 0.0
-        if max_imag > cfg.root_imag_tol:
-            raise ComplexRoots(max_imag, cfg.root_imag_tol)
+        max_imag = float(np.max(np.abs(roots.imag)))
+        if max_imag > ROOT_IMAG_TOL:
+            raise ComplexRoots(max_imag, ROOT_IMAG_TOL)
         shifts = -1.0 / (n * roots.real)
         eigenvalues = np.concatenate(
             [shifts + 1.0 / n, np.full(trimmed, 1.0 / n)]

@@ -34,7 +34,6 @@ from .matrixio import load_matrix, save_matrix
 from .recovery import (
     EntropyOracle,
     _chebyshev_nodes,
-    default_recovery_config,
     oracle_from_state,
     recover_spectrum,
 )

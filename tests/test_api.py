@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "PropertyResult",
     "QuantumState",
     "RecoveredSpectrum",
-    "RecoveryConfig",
     "SingularEndpoint",
     "SingularSample",
     "Spectrum",
@@ -39,7 +38,6 @@ PUBLIC_NAMES = [
     "decide_nodes",
     "decide_spectral",
     "default_nodes",
-    "default_recovery_config",
     "depolarize",
     "determinant_polynomial",
     "entropy_of_spectrum",

@@ -5,9 +5,7 @@ import pytest
 
 from entrospec import (
     EntropyOracle,
-    RecoveryConfig,
     Spectrum,
-    default_recovery_config,
     determinant_polynomial,
     fit_determinant_polynomial,
     hermitian_spectrum,
@@ -17,7 +15,8 @@ from entrospec import (
     recover_spectrum,
     sample_log2_determinant,
 )
-from entrospec.errors import ComplexRoots, IllConditioned, OracleDomain
+from entrospec.errors import ComplexRoots, DegreeDeficit, IllConditioned, OracleDomain
+from entrospec.recovery import VALIDATION_NODES
 
 from conftest import diag_state
 
@@ -25,112 +24,97 @@ from conftest import diag_state
 class TestSampleLog2Determinant:
     def test_maximally_mixed_is_constant(self):
         oracle = oracle_from_state(diag_state(0.25, 0.25, 0.25, 0.25))
-        cfg = default_recovery_config(4)
         for lam in (0.1, 0.5, 0.9):
-            assert abs(sample_log2_determinant(oracle, lam, cfg) - (-8.0)) <= 1e-12
+            assert abs(sample_log2_determinant(oracle, lam) - (-8.0)) <= 1e-12
 
     def test_matches_direct_determinant(self):
         # diag(0.75, 0.25) mixed at weight 0.5 has eigenvalues 0.625, 0.375
         oracle = oracle_from_state(diag_state(0.75, 0.25))
-        cfg = default_recovery_config(2)
         expected = math.log2(0.625 * 0.375)
-        assert abs(sample_log2_determinant(oracle, 0.5, cfg) - expected) <= 1e-12
+        assert abs(sample_log2_determinant(oracle, 0.5) - expected) <= 1e-12
 
     def test_finite_difference_fallback(self):
         oracle = oracle_from_state(diag_state(0.75, 0.25), include_derivative=False)
         assert oracle.derivative_fn is None
-        cfg = default_recovery_config(2)
         expected = math.log2(0.625 * 0.375)
-        assert abs(sample_log2_determinant(oracle, 0.5, cfg) - expected) <= 1e-7
+        assert abs(sample_log2_determinant(oracle, 0.5) - expected) <= 1e-7
 
     @pytest.mark.parametrize("lam", [0.0, -0.1, 0.95, 1.0])
     def test_rejects_weights_outside_domain(self, lam):
         oracle = oracle_from_state(diag_state(0.5, 0.5))
-        cfg = default_recovery_config(2)
         with pytest.raises(OracleDomain):
-            sample_log2_determinant(oracle, lam, cfg)
+            sample_log2_determinant(oracle, lam)
 
 
 class TestDefaultRecoveryConfig:
+    """The default fitting nodes and the oracle's dimension check."""
+
     def test_node_layout(self):
-        cfg = default_recovery_config(4)
-        assert len(cfg.nodes) == 9
-        assert all(0.1 <= x <= 0.9 for x in cfg.nodes)
-        assert all(b > a for a, b in zip(cfg.nodes, cfg.nodes[1:]))
-        assert len(cfg.validation_nodes) == 4
+        # with an analytic derivative the fit queries it once per node:
+        # n + 5 fitting nodes in [0.1, 0.9], then the held-out nodes
+        base = oracle_from_state(diag_state(0.4, 0.3, 0.2, 0.1))
+        queried = []
+
+        def derivative(lam):
+            queried.append(lam)
+            return base.derivative_fn(lam)
+
+        fit_determinant_polynomial(EntropyOracle(base.value_fn, derivative, 4))
+        nodes, held_out = queried[:9], queried[9:]
+        assert all(0.1 <= x <= 0.9 for x in nodes)
+        assert all(b > a for a, b in zip(nodes, nodes[1:]))
+        assert tuple(held_out) == VALIDATION_NODES
 
     def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
-            default_recovery_config(0)
+        # unchecked, 0 divides by zero in the fit and True runs as n = 1
+        for dimension in (0, -1, True, 2.0):
+            with pytest.raises(ValueError, match="dimension"):
+                EntropyOracle(lambda lam: 0.0, None, dimension)
 
 
 class TestRecoveryConfigValidation:
-    def test_rejects_bad_lambda_max(self):
-        for lambda_max in (0.0, 1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                RecoveryConfig(nodes=(0.2, 0.4, 0.6), lambda_max=lambda_max)
+    """The fitting nodes, the one recovery setting a caller passes."""
 
     def test_rejects_nodes_outside_domain(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.0, 0.4, 0.6))
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.2, 0.4, 0.95), lambda_max=0.9)
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.2, math.nan, 0.6))
+        oracle = oracle_from_state(diag_state(0.75, 0.25))
+        for nodes in ((0.0, 0.4, 0.6), (0.2, 0.4, 0.95), (0.2, math.nan, 0.6)):
+            with pytest.raises(ValueError, match="must lie in"):
+                recover_spectrum(oracle, nodes=nodes)
 
     def test_rejects_empty_node_sets(self):
-        # with no held-out node the residual reads 0.0 and its bound never fires
-        for nodes, held_out in (((), (0.3,)), ((0.2, 0.4, 0.6), ())):
-            with pytest.raises(ValueError, match="must not be empty"):
-                RecoveryConfig(nodes=nodes, validation_nodes=held_out)
+        oracle = oracle_from_state(diag_state(0.75, 0.25))
+        with pytest.raises(ValueError, match="must not be empty"):
+            recover_spectrum(oracle, nodes=())
 
     def test_rejects_duplicate_nodes(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.2, 0.4, 0.4))
-
-    def test_rejects_bad_validation_nodes(self):
-        for held_out in ((0.3, 1.2), (0.3, math.inf)):
-            with pytest.raises(ValueError):
-                RecoveryConfig(nodes=(0.2, 0.4, 0.6), validation_nodes=held_out)
-
-    def test_rejects_nonpositive_thresholds(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.2, 0.4, 0.6), fd_step=0.0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(nodes=(0.2, 0.4, 0.6), coeff_trim_tol=-1e-7)
-        for value in (math.nan, math.inf):
-            for name in ("fd_step", "coeff_trim_tol", "root_imag_tol"):
-                with pytest.raises(ValueError, match="finite and positive"):
-                    RecoveryConfig(nodes=(0.2, 0.4, 0.6), **{name: value})
+        oracle = oracle_from_state(diag_state(0.75, 0.25))
+        with pytest.raises(ValueError, match="distinct"):
+            recover_spectrum(oracle, nodes=(0.2, 0.4, 0.4))
 
 
 class TestFitDeterminantPolynomial:
     def test_maximally_mixed_fits_constant(self):
         oracle = oracle_from_state(diag_state(*[0.25] * 4))
-        poly, residual = fit_determinant_polynomial(oracle, default_recovery_config(4))
+        poly, residual = fit_determinant_polynomial(oracle)
         assert poly.coefficients[0] == (1.0 / 4.0) ** 4
         assert max(abs(c) for c in poly.coefficients[1:]) <= 1e-9
         assert residual <= 1e-9
 
     def test_hand_expanded_coefficients(self):
         oracle = oracle_from_state(diag_state(0.75, 0.25))
-        poly, _ = fit_determinant_polynomial(oracle, default_recovery_config(2))
+        poly, _ = fit_determinant_polynomial(oracle)
         np.testing.assert_allclose(poly.coefficients, (0.25, 0.0, -0.0625), atol=1e-8)
 
     def test_constant_coefficient_is_pinned(self, rng):
         state = random_state(5, rng)
-        poly, _ = fit_determinant_polynomial(
-            oracle_from_state(state), default_recovery_config(5)
-        )
+        poly, _ = fit_determinant_polynomial(oracle_from_state(state))
         assert poly.coefficients[0] == (1.0 / 5.0) ** 5
 
     def test_roundtrip_against_direct_expansion(self, rng):
         for n in range(2, 7):
             spectrum = hermitian_spectrum(random_state(n, rng))
             direct = determinant_polynomial(spectrum)
-            fitted, residual = fit_determinant_polynomial(
-                oracle_from_spectrum(spectrum), default_recovery_config(n)
-            )
+            fitted, residual = fit_determinant_polynomial(oracle_from_spectrum(spectrum))
             np.testing.assert_allclose(
                 fitted.coefficients, direct.coefficients, atol=1e-8
             )
@@ -138,9 +122,8 @@ class TestFitDeterminantPolynomial:
 
     def test_requires_enough_nodes(self):
         oracle = oracle_from_state(diag_state(0.4, 0.3, 0.2, 0.1))
-        cfg = RecoveryConfig(nodes=(0.2, 0.4, 0.6, 0.8))
-        with pytest.raises(ValueError):
-            fit_determinant_polynomial(oracle, cfg)
+        with pytest.raises(ValueError, match="need at least 5 fitting nodes"):
+            recover_spectrum(oracle, nodes=(0.2, 0.4, 0.6, 0.8))
 
     def test_inconsistent_oracle_is_rejected(self, rng):
         # a smooth non-polynomial wobble in the curve cannot be matched by
@@ -154,7 +137,7 @@ class TestFitDeterminantPolynomial:
             dimension=3,
         )
         with pytest.raises(IllConditioned) as info:
-            fit_determinant_polynomial(corrupt, default_recovery_config(3))
+            fit_determinant_polynomial(corrupt)
         assert info.value.residual > 1e-3
 
 
@@ -240,15 +223,43 @@ class TestRecoverSpectrum:
 
     def test_nan_at_validation_nodes_is_rejected(self, rng):
         base = oracle_from_state(random_state(4, rng))
-        cfg = default_recovery_config(4)
-        held_out = set(cfg.validation_nodes)
+        held_out = set(VALIDATION_NODES)
         oracle = EntropyOracle(
             value_fn=lambda lam: math.nan if lam in held_out else base.value_fn(lam),
             derivative_fn=base.derivative_fn,
             dimension=4,
         )
         with pytest.raises(IllConditioned):
-            recover_spectrum(oracle, cfg)
+            recover_spectrum(oracle)
+
+    def test_infinite_coefficients_are_rejected(self):
+        # every sample is finite, but the least-squares fit comes back with
+        # infinite coefficients; unchecked, the polynomial reads NaN at the
+        # held-out nodes, passes the residual bound, has every coefficient
+        # trimmed and comes back as the flat spectrum
+        oracle = EntropyOracle(
+            value_fn=lambda lam: -170.0 * (0.5 + lam) / 1.4,
+            derivative_fn=lambda lam: 0.0,
+            dimension=6,
+        )
+        with pytest.raises(IllConditioned) as info:
+            recover_spectrum(oracle)
+        assert info.value.residual == math.inf
+
+    def test_all_clipped_spectrum_is_rejected(self):
+        # exact determinant polynomial (1/4)(1 - lam/0.95)(1 - lam/0.98):
+        # both roots map to negative eigenvalues, which clip to zero and
+        # leave nothing to normalize
+        def det(lam):
+            return 0.25 * (1.0 - lam / 0.95) * (1.0 - lam / 0.98)
+
+        oracle = EntropyOracle(
+            value_fn=lambda lam: -0.5 * math.log2(det(lam)),
+            derivative_fn=lambda lam: 0.0,
+            dimension=2,
+        )
+        with pytest.raises(DegreeDeficit):
+            recover_spectrum(oracle)
 
 
 def test_recovered_as_spectrum(rng):
