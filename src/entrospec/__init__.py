@@ -12,7 +12,6 @@ from .entropy import (
     determinant_polynomial,
     entropy_of_spectrum,
     second_derivative_times_determinant,
-    von_neumann_entropy,
 )
 from .equivalence import (
     EquivalenceConfig,
@@ -47,7 +46,6 @@ from .recovery import (
     RecoveredSpectrum,
     fit_determinant_polynomial,
     oracle_from_spectrum,
-    oracle_from_state,
     recover_spectrum,
     sample_log2_determinant,
 )
@@ -59,8 +57,6 @@ from .states import (
     as_complex_matrix,
     check_same_dimension,
     depolarize,
-    hermitian_eigensystem,
-    hermitian_spectrum,
     random_state,
     random_unitary,
     validate_state,
@@ -106,11 +102,8 @@ __all__ = [
     "entropy_of_spectrum",
     "equal_entropy_pair",
     "fit_determinant_polynomial",
-    "hermitian_eigensystem",
-    "hermitian_spectrum",
     "load_matrix",
     "oracle_from_spectrum",
-    "oracle_from_state",
     "parse_matrix_file",
     "random_state",
     "random_unitary",
@@ -120,5 +113,4 @@ __all__ = [
     "save_matrix",
     "second_derivative_times_determinant",
     "validate_state",
-    "von_neumann_entropy",
 ]

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,9 +38,9 @@ from .errors import (
     ParseError,
 )
 from .matrixio import load_matrix
-from .recovery import oracle_from_state, recover_spectrum
+from .recovery import oracle_from_spectrum, recover_spectrum
 from .selftest import run_selftest
-from .states import QuantumState, hermitian_spectrum, validate_state
+from .states import QuantumState, validate_state
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,19 +50,6 @@ EXIT_RECOVERY = 4
 EXIT_SELFTEST = 5
 
 _RECOVERY_ERRORS = (OracleDomain, IllConditioned, ComplexRoots, DegreeDeficit)
-
-
-def resolve_seed(flag: Optional[int], env: Mapping[str, str]) -> int:
-    """Flag wins; otherwise ENTROSPEC_SEED; otherwise 42."""
-    if flag is not None:
-        return flag
-    raw = env.get("ENTROSPEC_SEED")
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"ENTROSPEC_SEED must be an integer, got {raw!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,8 +96,7 @@ def _build_parser() -> _Parser:
                            help="fitting nodes; default is Chebyshev-spaced")
 
     p_selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p_selftest.add_argument("--seed", type=int, default=None,
-                            help="RNG seed; falls back to ENTROSPEC_SEED, then 42")
+    p_selftest.add_argument("--seed", type=int, default=42, help="RNG seed")
     p_selftest.add_argument("--entropy-tol", type=float,
                             default=EquivalenceConfig.entropy_tol)
 
@@ -128,7 +113,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     state = _load_state(args.state_file)
-    spectrum = hermitian_spectrum(state)
+    spectrum = state.spectrum
     _emit(
         {
             "n": state.dimension,
@@ -149,7 +134,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise ParseError(f"--points must be >= 2, got {args.points}")
     state = _load_state(args.state_file)
-    curve = EntropyCurve(hermitian_spectrum(state))
+    curve = EntropyCurve(state.spectrum)
 
     rows = []
     for j in range(args.points):
@@ -208,8 +193,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     state = _load_state(args.state_file)
     n = state.dimension
-    truth = hermitian_spectrum(state)
-    oracle = oracle_from_state(state, include_derivative=args.derivative == "analytic")
+    truth = state.spectrum
+    oracle = oracle_from_spectrum(truth, include_derivative=args.derivative == "analytic")
     result = recover_spectrum(oracle, args.nodes)
     error = float(
         np.max(np.abs(np.asarray(result.values) - truth.as_array()))
@@ -230,15 +215,14 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    seed = resolve_seed(args.seed, os.environ)
-    results = run_selftest(seed, args.entropy_tol)
+    results = run_selftest(args.seed, args.entropy_tol)
     for res in results:
         status = "ok" if res.passed else "FAIL"
         print(f"{status:4s} {res.name} (residual {res.max_residual:.3e})", file=sys.stderr)
     all_passed = all(res.passed for res in results)
     _emit(
         {
-            "seed": seed,
+            "seed": args.seed,
             "entropy_tol": args.entropy_tol,
             "all_passed": all_passed,
             "properties": [res.to_dict() for res in results],

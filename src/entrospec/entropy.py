@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LambdaOutOfRange, SingularEndpoint
-from .states import QuantumState, Spectrum, hermitian_spectrum
+from .states import Spectrum
 
 _LN2 = float(np.log(2.0))
 
@@ -33,11 +33,6 @@ def entropy_of_spectrum(spectrum: Spectrum) -> float:
     pos = xs[xs > 0.0]
     # + 0.0 keeps a pure state's entropy from printing as -0.0
     return float(-np.sum(pos * np.log2(pos))) + 0.0
-
-
-def von_neumann_entropy(state: QuantumState) -> float:
-    """Entropy of a state in bits, via its eigendecomposition."""
-    return entropy_of_spectrum(hermitian_spectrum(state))
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,7 @@ import numpy as np
 
 from .entropy import EntropyCurve, entropy_of_spectrum
 from .errors import BadNodeCount
-from .states import (
-    QuantumState,
-    Spectrum,
-    check_same_dimension,
-    hermitian_eigensystem,
-    hermitian_spectrum,
-    validate_state,
-)
+from .states import QuantumState, Spectrum, check_same_dimension, validate_state
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -130,19 +123,6 @@ def _sorted_distance(spec_a: Spectrum, spec_b: Spectrum) -> float:
     return float(np.max(np.abs(spec_a.as_array() - spec_b.as_array())))
 
 
-def _eigenbasis_map(rho: QuantumState, sigma: QuantumState) -> np.ndarray:
-    """U = V_rho V_sigma*, mapping sigma's k-th eigenvector onto rho's.
-
-    Both eigenbases are ordered by descending eigenvalue. Within a
-    degenerate eigenvalue group any alignment works: conjugation only sees
-    the group eigenspace, and the residual bound, not a particular
-    permutation, is the contract.
-    """
-    _, vectors_rho = hermitian_eigensystem(rho)
-    _, vectors_sigma = hermitian_eigensystem(sigma)
-    return vectors_rho @ vectors_sigma.conj().T
-
-
 def _decide(
     rho: QuantumState,
     sigma: QuantumState,
@@ -156,8 +136,7 @@ def _decide(
     gaps within entropy_tol with a distance above spectrum_tol mean the
     pair lies below the curve test's resolution: it is not_equivalent.
     """
-    spec_a = hermitian_spectrum(rho)
-    spec_b = hermitian_spectrum(sigma)
+    spec_a, spec_b = rho.spectrum, sigma.spectrum
     distance = _sorted_distance(spec_a, spec_b)
 
     equivalent = distance <= cfg.spectrum_tol
@@ -171,6 +150,12 @@ def _decide(
         max_gap = float(np.max(gap_values))
         equivalent = equivalent and max_gap <= cfg.entropy_tol
 
+    # The witness U = V_rho V_sigma* maps sigma's k-th eigenvector onto
+    # rho's; both eigenbases are ordered by descending eigenvalue. Within a
+    # degenerate eigenvalue group any alignment works: conjugation only sees
+    # the group eigenspace, and the residual bound, not a particular
+    # permutation, is the contract.
+    witness = rho.eigensystem[1] @ sigma.eigensystem[1].conj().T if equivalent else None
     return EquivalenceReport(
         verdict=EQUIVALENT if equivalent else NOT_EQUIVALENT,
         method=method,
@@ -178,7 +163,7 @@ def _decide(
         per_node_gaps=gaps,
         spectrum_a=spec_a.values,
         spectrum_b=spec_b.values,
-        witness=_eigenbasis_map(rho, sigma) if equivalent else None,
+        witness=witness,
         entropy_tol=cfg.entropy_tol,
         spectrum_tol=cfg.spectrum_tol,
     )

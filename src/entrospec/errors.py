@@ -132,11 +132,12 @@ class ComplexRoots(EntrospecError):
 class DegreeDeficit(EntrospecError):
     """Every recovered eigenvalue clipped to zero, leaving nothing to normalize."""
 
-    def __init__(self, got: int, expected: int):
-        self.got = got
-        self.expected = expected
+    def __init__(self, values: tuple[float, ...]):
+        self.values = values
+        listed = ", ".join(f"{v:.3e}" for v in values)
         super().__init__(
-            f"expected {expected} polynomial roots, found {got}"
+            f"every recovered eigenvalue clipped to zero ({listed}); "
+            f"nothing is left to normalize"
         )
 
 

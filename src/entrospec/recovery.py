@@ -21,7 +21,7 @@ import numpy as np
 
 from .entropy import DeterminantPolynomial, EntropyCurve
 from .errors import ComplexRoots, DegreeDeficit, IllConditioned, OracleDomain
-from .states import QuantumState, Spectrum, hermitian_spectrum
+from .states import Spectrum
 
 FIT_RESIDUAL_BOUND = 1e-3
 LAMBDA_MAX = 0.9
@@ -49,13 +49,6 @@ class EntropyOracle:
         if (isinstance(self.dimension, bool) or not isinstance(self.dimension, int)
                 or self.dimension < 1):
             raise ValueError(f"dimension must be a positive int, got {self.dimension!r}")
-
-
-def oracle_from_state(
-    state: QuantumState, include_derivative: bool = True
-) -> EntropyOracle:
-    """Wrap a concrete state as an entropy oracle (closed-form curve)."""
-    return oracle_from_spectrum(hermitian_spectrum(state), include_derivative)
 
 
 def oracle_from_spectrum(
@@ -233,12 +226,12 @@ def recover_spectrum(
             [shifts + 1.0 / n, np.full(trimmed, 1.0 / n)]
         )
 
-    eigenvalues = np.clip(eigenvalues, 0.0, 1.0)
-    total = float(np.sum(eigenvalues))
-    drift = abs(total - 1.0)
+    clipped = np.clip(eigenvalues, 0.0, 1.0)
+    total = float(np.sum(clipped))
     if total <= 0.0:
-        raise DegreeDeficit(0, n)
-    eigenvalues = np.sort(eigenvalues / total)[::-1]
+        raise DegreeDeficit(tuple(eigenvalues.tolist()))
+    drift = abs(total - 1.0)
+    eigenvalues = np.sort(clipped / total)[::-1]
     return RecoveredSpectrum(
         values=tuple(float(x) for x in eigenvalues),
         residual=residual,

@@ -18,8 +18,8 @@ import numpy as np
 from .entropy import (
     EntropyCurve,
     determinant_polynomial,
+    entropy_of_spectrum,
     second_derivative_times_determinant,
-    von_neumann_entropy,
 )
 from .equivalence import (
     EquivalenceConfig,
@@ -34,14 +34,12 @@ from .matrixio import load_matrix, save_matrix
 from .recovery import (
     EntropyOracle,
     _chebyshev_nodes,
-    oracle_from_state,
+    oracle_from_spectrum,
     recover_spectrum,
 )
 from .states import (
     QuantumState,
     depolarize,
-    hermitian_eigensystem,
-    hermitian_spectrum,
     random_state,
     random_unitary,
     validate_state,
@@ -79,7 +77,7 @@ def _conjugate(state: QuantumState, u: np.ndarray) -> QuantumState:
 
 
 def _spectral_distance(a: QuantumState, b: QuantumState) -> float:
-    return _sorted_distance(hermitian_spectrum(a), hermitian_spectrum(b))
+    return _sorted_distance(a.spectrum, b.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +89,7 @@ def _prop_eigensolver_reconstruction(name, rng, entropy_tol):
     worst = 0.0
     for n in (2, 3, 5, 8, 12, 16):
         state = random_state(n, rng)
-        values, vectors = hermitian_eigensystem(state)
+        values, vectors = state.eigensystem
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         worst = max(worst, float(np.max(np.abs(rebuilt - state.matrix))))
     return _result(name, worst <= bound, worst, "V D V* vs input, n up to 16, bound 1e-10")
@@ -104,9 +102,9 @@ def _prop_depolarize_spectrum_map(name, rng, entropy_tol):
         n = _random_dim(rng)
         state = random_state(n, rng)
         lam = float(rng.uniform(0.0, 1.0))
-        base = hermitian_spectrum(state).as_array()
+        base = state.spectrum.as_array()
         expected = np.sort(lam * base + (1.0 - lam) / n)[::-1]
-        got = hermitian_spectrum(depolarize(state, lam)).as_array()
+        got = depolarize(state, lam).spectrum.as_array()
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return _result(name, worst <= bound, worst, "mixed spectrum is the affine image, bound 1e-10")
 
@@ -136,7 +134,7 @@ def _prop_random_state_validity(name, rng, entropy_tol):
             continue
         herm = float(np.max(np.abs(m - m.conj().T)))
         trace_dev = abs(float(np.trace(m).real) - 1.0)
-        min_eig = float(np.min(hermitian_eigensystem(state)[0]))
+        min_eig = float(np.min(state.eigensystem[0]))
         worst = max(worst, herm, trace_dev, max(0.0, -min_eig))
     return _result(
         name, failures == 0 and worst <= 1e-9, worst,
@@ -155,8 +153,8 @@ def _prop_curve_matches_entropy(name, rng, entropy_tol):
         n = _random_dim(rng)
         state = random_state(n, rng)
         lam = float(rng.uniform(0.0, 1.0))
-        curve = EntropyCurve(hermitian_spectrum(state))
-        direct = von_neumann_entropy(depolarize(state, lam))
+        curve = EntropyCurve(state.spectrum)
+        direct = entropy_of_spectrum(depolarize(state, lam).spectrum)
         worst = max(worst, abs(curve.value(lam) - direct))
     return _result(name, worst <= bound, worst, "curve value vs mixed-state entropy, bound 1e-10")
 
@@ -167,7 +165,7 @@ def _prop_derivative_fd(name, rng, entropy_tol):
     worst = 0.0
     for _ in range(15):
         n = _random_dim(rng)
-        curve = EntropyCurve(hermitian_spectrum(random_state(n, rng)))
+        curve = EntropyCurve(random_state(n, rng).spectrum)
         for lam in (0.2, 0.5, 0.8):
             fd = (curve.value(lam + step) - curve.value(lam - step)) / (2 * step)
             worst = max(worst, abs(curve.derivative(lam) - fd))
@@ -180,7 +178,7 @@ def _prop_second_derivative_fd(name, rng, entropy_tol):
     worst = 0.0
     for _ in range(15):
         n = _random_dim(rng)
-        curve = EntropyCurve(hermitian_spectrum(random_state(n, rng)))
+        curve = EntropyCurve(random_state(n, rng).spectrum)
         for lam in (0.2, 0.5, 0.8):
             fd = (
                 curve.value(lam + step) - 2.0 * curve.value(lam) + curve.value(lam - step)
@@ -194,7 +192,7 @@ def _prop_log2_determinant_identity(name, rng, entropy_tol):
     worst = 0.0
     for _ in range(20):
         n = _random_dim(rng)
-        spectrum = hermitian_spectrum(random_state(n, rng))
+        spectrum = random_state(n, rng).spectrum
         curve = EntropyCurve(spectrum)
         for lam in np.arange(0.1, 0.95, 0.1):
             lam = float(lam)
@@ -211,8 +209,8 @@ def _prop_product_degree_bound(name, rng, entropy_tol):
     worst = 0.0
     for n in range(2, 7):
         for _ in range(5):
-            spec_a = hermitian_spectrum(random_state(n, rng))
-            spec_b = hermitian_spectrum(random_state(n, rng))
+            spec_a = random_state(n, rng).spectrum
+            spec_b = random_state(n, rng).spectrum
             curve_a, curve_b = EntropyCurve(spec_a), EntropyCurve(spec_b)
             poly_a, poly_b = determinant_polynomial(spec_a), determinant_polynomial(spec_b)
             ts = np.asarray(_chebyshev_nodes(2 * n + 3, 0.05, 0.95))
@@ -243,7 +241,7 @@ def _prop_curvature_product_coefficient(name, rng, entropy_tol):
     worst = 0.0
     for _ in range(20):
         n = _random_dim(rng)
-        spectrum = hermitian_spectrum(random_state(n, rng))
+        spectrum = random_state(n, rng).spectrum
         coeffs = second_derivative_times_determinant(spectrum)
         worst = max(worst, abs(float(coeffs[-1])))
     return _result(
@@ -352,7 +350,7 @@ def _prop_witness_residuals(name, rng, entropy_tol):
 
 def _prop_single_point_insufficiency(name, rng, entropy_tol):
     a, b = equal_entropy_pair(3)
-    entropy_gap = abs(von_neumann_entropy(a) - von_neumann_entropy(b))
+    entropy_gap = abs(entropy_of_spectrum(a.spectrum) - entropy_of_spectrum(b.spectrum))
     distance = _spectral_distance(a, b)
     report = decide_nodes(a, b, EquivalenceConfig(entropy_tol=entropy_tol))
     passed = (
@@ -376,8 +374,8 @@ def _roundtrip_worst(rng, include_derivative: bool, count: int) -> float:
     for _ in range(count):
         n = int(rng.integers(2, 7))
         state = random_state(n, rng)
-        truth = hermitian_spectrum(state).as_array()
-        oracle = oracle_from_state(state, include_derivative=include_derivative)
+        truth = state.spectrum.as_array()
+        oracle = oracle_from_spectrum(state.spectrum, include_derivative=include_derivative)
         recovered = np.asarray(recover_spectrum(oracle).values)
         worst = max(worst, float(np.max(np.abs(recovered - truth))))
     return worst
@@ -400,8 +398,8 @@ def _prop_recovery_permutation_invariance(name, rng, entropy_tol):
         n = int(rng.integers(2, 7))
         state = random_state(n, rng)
         rotated = _conjugate(state, random_unitary(n, rng))
-        rec_a = np.asarray(recover_spectrum(oracle_from_state(state)).values)
-        rec_b = np.asarray(recover_spectrum(oracle_from_state(rotated)).values)
+        rec_a = np.asarray(recover_spectrum(oracle_from_spectrum(state.spectrum)).values)
+        rec_b = np.asarray(recover_spectrum(oracle_from_spectrum(rotated.spectrum)).values)
         worst = max(worst, float(np.max(np.abs(rec_a - rec_b))))
     return _result(
         name, worst <= bound, worst,
@@ -410,7 +408,7 @@ def _prop_recovery_permutation_invariance(name, rng, entropy_tol):
 
 
 def _noisy_oracle(state: QuantumState, eps: float, rng: np.random.Generator) -> EntropyOracle:
-    curve = EntropyCurve(hermitian_spectrum(state))
+    curve = EntropyCurve(state.spectrum)
 
     def value_fn(lam: float) -> float:
         return curve.value(lam) + eps * float(rng.uniform(-1.0, 1.0))
@@ -430,7 +428,7 @@ def _prop_recovery_noise_bound(name, rng, entropy_tol):
     for eps in (1e-10, 1e-8):
         for n in dims:
             state = random_state(n, rng)
-            truth = hermitian_spectrum(state).as_array()
+            truth = state.spectrum.as_array()
             oracle = _noisy_oracle(state, eps, rng)
             try:
                 recovered = np.asarray(recover_spectrum(oracle).values)
@@ -454,7 +452,7 @@ def _prop_recovery_sum_rule(name, rng, entropy_tol):
     worst_sum = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        result = recover_spectrum(oracle_from_state(random_state(n, rng)))
+        result = recover_spectrum(oracle_from_spectrum(random_state(n, rng).spectrum))
         worst_sum = max(worst_sum, abs(sum(result.values) - 1.0))
         worst_drift = max(worst_drift, result.sum_drift)
     passed = worst_sum <= 1e-12 and worst_drift <= 1e-5

@@ -1,10 +1,12 @@
-"""Density matrices, their one checked constructor, and eigendecomposition.
+"""Density matrices, their one checked constructor, and their spectra.
 
 Each state is decomposed once, by LAPACK through ``np.linalg.eigh``, when
 it is constructed (the PSD check reads the eigenvalues). The result is
-cached on the state, and the stored matrix is read-only so the cache
-cannot go stale; spectra, eigenbases, entropies, curves and unitary
-witnesses all read that one decomposition.
+cached on the state as ``eigensystem``, and the stored matrix is
+read-only so the cache cannot go stale. ``spectrum``, the clamped and
+renormalized eigenvalues, is built from it once per state; entropies,
+curves, oracles and the deciders all read that one spectrum, and unitary
+witnesses read the eigenvectors.
 """
 
 from __future__ import annotations
@@ -114,14 +116,14 @@ class QuantumState:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dimension", m.shape[0])
         try:
-            min_eig = float(self._eigensystem[0][-1])
+            min_eig = float(self.eigensystem[0][-1])
         except np.linalg.LinAlgError:  # entries near the double range; no state has any
             min_eig = math.nan
         if not min_eig >= -PSD_TOL:
             raise NotPositiveSemidefinite(min_eig, PSD_TOL)
 
     @cached_property
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues descending and matching eigenvector columns, read-only."""
         values, vectors = np.linalg.eigh(self.matrix)
         values, vectors = values[::-1], vectors[:, ::-1]
@@ -129,33 +131,24 @@ class QuantumState:
         vectors.setflags(write=False)
         return values, vectors
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """The eigenvalues clamped to [0, 1] and renormalized.
+
+        Clamping removes the tiny negative round-off the PSD check already
+        bounded by ``PSD_TOL``; renormalization by the clamped sum (at least
+        1 - (n+1) * 1e-9 on a checked state) restores an exact unit sum so
+        entropy formulas downstream see a genuine probability vector.
+        Clamping and scaling keep the descending order.
+        """
+        clamped = np.clip(self.eigensystem[0], 0.0, 1.0)
+        clamped = clamped / float(np.sum(clamped))
+        return Spectrum(values=tuple(clamped.tolist()))
+
 
 def validate_state(data) -> QuantumState:
     """The checked state of ``data``; the same as ``QuantumState(data)``."""
     return QuantumState(data)
-
-
-def hermitian_spectrum(state: QuantumState) -> Spectrum:
-    """Spectrum of a validated state: clamped to [0, 1] and renormalized.
-
-    Clamping removes the tiny negative round-off the PSD check already
-    bounded by ``PSD_TOL``; renormalization by the clamped sum (at least
-    1 - (n+1) * 1e-9 on a checked state) restores an exact unit sum so
-    entropy formulas downstream see a genuine probability vector.
-    Clamping and scaling keep the cached descending order.
-    """
-    values, _ = state._eigensystem
-    clamped = np.clip(values, 0.0, 1.0)
-    clamped = clamped / float(np.sum(clamped))
-    return Spectrum(values=tuple(clamped.tolist()))
-
-
-def hermitian_eigensystem(state: QuantumState) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns.
-
-    Both arrays are the state's cached, read-only decomposition.
-    """
-    return state._eigensystem
 
 
 def random_state(n: int, rng: np.random.Generator) -> QuantumState:

@@ -19,15 +19,14 @@ from entrospec import (
     decide_nodes,
     decide_spectral,
     determinant_polynomial,
+    entropy_of_spectrum,
     equal_entropy_pair,
-    hermitian_spectrum,
     oracle_from_spectrum,
     random_state,
     random_unitary,
     recover_spectrum,
     run_selftest,
     validate_state,
-    von_neumann_entropy,
 )
 
 
@@ -49,7 +48,7 @@ def _conjugate(state, u):
 
 def _spectral_distance(a, b):
     return float(
-        np.max(np.abs(hermitian_spectrum(a).as_array() - hermitian_spectrum(b).as_array()))
+        np.max(np.abs(a.spectrum.as_array() - b.spectrum.as_array()))
     )
 
 
@@ -65,12 +64,12 @@ def test_criterion_1_entropy_range():
     start = time.perf_counter()
     for index in range(200):
         n = 2 + index % 7
-        entropy = von_neumann_entropy(random_state(n, rng))
+        entropy = entropy_of_spectrum(random_state(n, rng).spectrum)
         if not 0.0 <= entropy <= math.log2(n) + 1e-12:
             failures.append(f"entropy {entropy!r} outside [0, log2({n})]")
             break
     for n in range(2, 9):
-        gap = abs(von_neumann_entropy(validate_state(np.eye(n) / n)) - math.log2(n))
+        gap = abs(entropy_of_spectrum(validate_state(np.eye(n) / n).spectrum) - math.log2(n))
         if gap > 1e-12:
             failures.append(f"maximally mixed entropy off by {gap:.2e} at n={n}")
     elapsed = time.perf_counter() - start
@@ -86,7 +85,7 @@ def test_criterion_2_log_determinant_identity():
     start = time.perf_counter()
     for _ in range(50):
         n = int(rng.integers(2, 9))
-        spectrum = hermitian_spectrum(random_state(n, rng))
+        spectrum = random_state(n, rng).spectrum
         curve = EntropyCurve(spectrum)
         shifted = np.asarray(spectrum.shifted())
         for j in range(1, 10):
@@ -151,7 +150,9 @@ def test_criterion_4_node_test_detection():
     # equation in two free eigenvalues, and the pair below differs while
     # the single node lam = 1 cannot tell it apart.
     crafted_a, crafted_b = equal_entropy_pair(3)
-    full_weight_gap = abs(von_neumann_entropy(crafted_a) - von_neumann_entropy(crafted_b))
+    full_weight_gap = abs(
+        entropy_of_spectrum(crafted_a.spectrum) - entropy_of_spectrum(crafted_b.spectrum)
+    )
     if full_weight_gap > 1e-12:
         failures.append(
             f"crafted pair entropies differ by {full_weight_gap:.2e} at full weight"
@@ -229,8 +230,8 @@ def test_criterion_6_curvature_product_degree_bound():
     start = time.perf_counter()
     for n in range(2, 7):
         for _ in range(20):
-            spec_a = hermitian_spectrum(random_state(n, rng))
-            spec_b = hermitian_spectrum(random_state(n, rng))
+            spec_a = random_state(n, rng).spectrum
+            spec_b = random_state(n, rng).spectrum
             curve_a, curve_b = EntropyCurve(spec_a), EntropyCurve(spec_b)
             poly_a, poly_b = determinant_polynomial(spec_a), determinant_polynomial(spec_b)
             ts = _chebyshev(2 * n + 3, 0.05, 0.95)
@@ -269,7 +270,7 @@ def test_criterion_7_recovery_roundtrip():
     start = time.perf_counter()
     for _ in range(50):
         n = int(rng.integers(2, 7))
-        spectrum = hermitian_spectrum(random_state(n, rng))
+        spectrum = random_state(n, rng).spectrum
         truth = spectrum.as_array()
         analytic = recover_spectrum(oracle_from_spectrum(spectrum))
         worst_analytic = max(

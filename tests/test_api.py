@@ -3,6 +3,8 @@
 Dropping or adding a name is a deliberate change of this list.
 """
 
+from pathlib import Path
+
 import entrospec
 
 PUBLIC_NAMES = [
@@ -43,11 +45,8 @@ PUBLIC_NAMES = [
     "entropy_of_spectrum",
     "equal_entropy_pair",
     "fit_determinant_polynomial",
-    "hermitian_eigensystem",
-    "hermitian_spectrum",
     "load_matrix",
     "oracle_from_spectrum",
-    "oracle_from_state",
     "parse_matrix_file",
     "random_state",
     "random_unitary",
@@ -57,7 +56,6 @@ PUBLIC_NAMES = [
     "save_matrix",
     "second_derivative_times_determinant",
     "validate_state",
-    "von_neumann_entropy",
 ]
 
 
@@ -69,3 +67,11 @@ def test_all_is_the_pinned_list():
 def test_every_public_name_resolves_from_the_package_root():
     for name in PUBLIC_NAMES:
         assert getattr(entrospec, name) is not None, name
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "equivalent"

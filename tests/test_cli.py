@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entrospec import EquivalenceConfig, random_state, save_matrix
-from entrospec.cli import main, resolve_seed
+from entrospec.cli import main
 from entrospec.errors import ParseError
 from entrospec.matrixio import load_matrix, parse_matrix_file
 
@@ -281,32 +281,12 @@ class TestSelftestCommand:
         assert code == 1
         assert out == ""
 
-    def test_invalid_seed_env_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTROSPEC_SEED", "not-a-number")
-        code, _, err = run(capsys, ["selftest"])
-        assert code == 1
-        assert "ENTROSPEC_SEED" in err
-
-    def test_seed_env_is_read_by_selftest_only(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ENTROSPEC_SEED", "not-a-number")
-        state = write_state(tmp_path, "s.json", np.eye(2) / 2)
-        code, _, _ = run(capsys, ["entropy", state])
-        assert code == 0
-
 
 class TestResolveSeed:
-    def test_flag_beats_env(self):
-        assert resolve_seed(7, {"ENTROSPEC_SEED": "9"}) == 7
-
-    def test_env_fallback(self):
-        assert resolve_seed(None, {"ENTROSPEC_SEED": "9"}) == 9
-
-    def test_default(self):
-        assert resolve_seed(None, {}) == 42
-
-    def test_invalid_env(self):
-        with pytest.raises(ParseError):
-            resolve_seed(None, {"ENTROSPEC_SEED": "abc"})
+    def test_default(self, capsys):
+        code, out, _ = run(capsys, ["selftest"])
+        assert code == 0
+        assert json.loads(out)["seed"] == 42
 
 
 class TestMatrixFiles:

@@ -9,11 +9,9 @@ from entrospec import (
     depolarize,
     determinant_polynomial,
     entropy_of_spectrum,
-    hermitian_spectrum,
     random_state,
     second_derivative_times_determinant,
     validate_state,
-    von_neumann_entropy,
 )
 from entrospec.errors import LambdaOutOfRange, SingularEndpoint
 
@@ -38,28 +36,28 @@ class TestEntropyOfSpectrum:
     def test_range_on_random_spectra(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 9))
-            entropy = entropy_of_spectrum(hermitian_spectrum(random_state(n, rng)))
+            entropy = entropy_of_spectrum(random_state(n, rng).spectrum)
             assert 0.0 <= entropy <= math.log2(n) + 1e-12
 
 
 class TestVonNeumannEntropy:
     def test_maximal_mixed_qubit(self):
-        assert von_neumann_entropy(validate_state(np.eye(2) / 2)) == pytest.approx(
+        assert entropy_of_spectrum(validate_state(np.eye(2) / 2).spectrum) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_rank_one_projector(self):
-        assert von_neumann_entropy(diag_state(1.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert entropy_of_spectrum(diag_state(1.0, 0.0).spectrum) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_matrix(self):
         state = validate_state(np.array([[0.5, 0.25], [0.25, 0.5]]))
-        assert von_neumann_entropy(state) == pytest.approx(TWO_STATE_ENTROPY, abs=1e-12)
+        assert entropy_of_spectrum(state.spectrum) == pytest.approx(TWO_STATE_ENTROPY, abs=1e-12)
 
 
 class TestEntropyCurveValue:
     def test_weight_zero_is_log2_n(self, rng):
         for n in (2, 5, 8):
-            curve = EntropyCurve(hermitian_spectrum(random_state(n, rng)))
+            curve = EntropyCurve(random_state(n, rng).spectrum)
             assert curve.value(0.0) == pytest.approx(math.log2(n), abs=1e-12)
 
     def test_maximal_mixed_is_constant(self):
@@ -76,12 +74,12 @@ class TestEntropyCurveValue:
             n = int(rng.integers(2, 9))
             state = random_state(n, rng)
             lam = float(rng.uniform(0.0, 1.0))
-            curve = EntropyCurve(hermitian_spectrum(state))
-            direct = von_neumann_entropy(depolarize(state, lam))
+            curve = EntropyCurve(state.spectrum)
+            direct = entropy_of_spectrum(depolarize(state, lam).spectrum)
             assert abs(curve.value(lam) - direct) <= 1e-10
 
     def test_non_increasing_along_the_line(self, rng):
-        curve = EntropyCurve(hermitian_spectrum(random_state(5, rng)))
+        curve = EntropyCurve(random_state(5, rng).spectrum)
         samples = [curve.value(lam) for lam in np.linspace(0.0, 1.0, 40)]
         assert all(b <= a + 1e-12 for a, b in zip(samples, samples[1:]))
 
@@ -103,7 +101,7 @@ class TestEntropyCurveValues:
     def test_bitwise_equal_to_value(self, rng):
         # numpy sums 8 or more terms pairwise, fewer in sequence
         spectra = [
-            hermitian_spectrum(random_state(n, rng)) for n in (1, 2, 3, 7, 8, 9, 16, 17)
+            random_state(n, rng).spectrum for n in (1, 2, 3, 7, 8, 9, 16, 17)
         ]
         spectra += [
             _low_rank_spectrum(n, r, rng)
@@ -132,7 +130,7 @@ class TestEntropyCurveDerivatives:
     def test_derivative_zero_at_origin(self, rng):
         for _ in range(5):
             state = random_state(int(rng.integers(2, 9)), rng)
-            curve = EntropyCurve(hermitian_spectrum(state))
+            curve = EntropyCurve(state.spectrum)
             assert abs(curve.derivative(0.0)) <= 1e-12
 
     def test_maximal_mixed_derivatives_vanish(self):
@@ -154,7 +152,7 @@ class TestEntropyCurveDerivatives:
         assert abs(curve.second_derivative(0.5) - fd) <= 1e-5
 
     def test_second_derivative_closed_form_at_origin(self, rng):
-        spectrum = hermitian_spectrum(random_state(4, rng))
+        spectrum = random_state(4, rng).spectrum
         curve = EntropyCurve(spectrum)
         u = spectrum.shifted()
         expected = -4.0 * float(np.sum(u * u)) / math.log(2.0)
@@ -162,7 +160,7 @@ class TestEntropyCurveDerivatives:
         assert curve.second_derivative(0.0) < 0.0
 
     def test_concavity_on_random_states(self, rng):
-        curve = EntropyCurve(hermitian_spectrum(random_state(6, rng)))
+        curve = EntropyCurve(random_state(6, rng).spectrum)
         for lam in np.linspace(0.0, 0.99, 15):
             assert curve.second_derivative(float(lam)) <= 0.0
 
@@ -193,7 +191,7 @@ class TestLog2Determinant:
     def test_identity_on_random_states(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 9))
-            spectrum = hermitian_spectrum(random_state(n, rng))
+            spectrum = random_state(n, rng).spectrum
             curve = EntropyCurve(spectrum)
             for lam in np.arange(0.1, 0.95, 0.1):
                 lam = float(lam)
@@ -220,25 +218,25 @@ class TestDeterminantPolynomial:
 
     def test_constant_coefficient(self, rng):
         for n in (2, 4, 6):
-            spectrum = hermitian_spectrum(random_state(n, rng))
+            spectrum = random_state(n, rng).spectrum
             poly = determinant_polynomial(spectrum)
             assert poly.coefficients[0] == pytest.approx((1.0 / n) ** n, rel=1e-12)
 
     def test_leading_coefficient_is_shift_product(self, rng):
-        spectrum = hermitian_spectrum(random_state(5, rng))
+        spectrum = random_state(5, rng).spectrum
         poly = determinant_polynomial(spectrum)
         assert poly.coefficients[-1] == pytest.approx(
             float(np.prod(spectrum.shifted())), rel=1e-10
         )
 
     def test_positive_below_weight_one(self, rng):
-        spectrum = hermitian_spectrum(random_state(4, rng))
+        spectrum = random_state(4, rng).spectrum
         poly = determinant_polynomial(spectrum)
         for lam in np.linspace(0.0, 0.999, 25):
             assert float(poly(float(lam))) > 0.0
 
     def test_evaluation_matches_log_identity(self, rng):
-        spectrum = hermitian_spectrum(random_state(4, rng))
+        spectrum = random_state(4, rng).spectrum
         poly = determinant_polynomial(spectrum)
         curve = EntropyCurve(spectrum)
         for lam in rng.uniform(0.05, 0.95, size=20):
@@ -254,13 +252,13 @@ class TestSecondDerivativeTimesDeterminant:
     def test_top_coefficient_vanishes(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 9))
-            spectrum = hermitian_spectrum(random_state(n, rng))
+            spectrum = random_state(n, rng).spectrum
             coeffs = second_derivative_times_determinant(spectrum)
             assert len(coeffs) == n
             assert abs(float(coeffs[-1])) <= 1e-10
 
     def test_matches_pointwise_product(self, rng):
-        spectrum = hermitian_spectrum(random_state(5, rng))
+        spectrum = random_state(5, rng).spectrum
         coeffs = second_derivative_times_determinant(spectrum)
         curve = EntropyCurve(spectrum)
         poly = determinant_polynomial(spectrum)

@@ -6,20 +6,19 @@ import pytest
 from entrospec import (
     EntropyCurve,
     EquivalenceConfig,
+    Spectrum,
     decide_grid,
     decide_nodes,
     decide_spectral,
     default_nodes,
     depolarize,
+    entropy_of_spectrum,
     equal_entropy_pair,
-    hermitian_spectrum,
-    oracle_from_state,
+    oracle_from_spectrum,
     random_state,
     random_unitary,
     validate_state,
-    von_neumann_entropy,
 )
-from entrospec import equivalence
 from entrospec.errors import BadNodeCount, DimensionMismatch
 
 from conftest import conjugate, diag_state
@@ -183,9 +182,9 @@ def test_split_degenerate_pair_is_not_equivalent(rng, decide, delta):
 class TestEqualEntropyPair:
     def test_three_level_pair_matches_entropy_but_not_spectrum(self):
         a, b = equal_entropy_pair(3)
-        assert abs(von_neumann_entropy(a) - von_neumann_entropy(b)) <= 1e-12
-        sa = hermitian_spectrum(a).as_array()
-        sb = hermitian_spectrum(b).as_array()
+        assert abs(entropy_of_spectrum(a.spectrum) - entropy_of_spectrum(b.spectrum)) <= 1e-12
+        sa = a.spectrum.as_array()
+        sb = b.spectrum.as_array()
         assert float(np.max(np.abs(sa - sb))) >= 0.05
 
     def test_three_level_pair_is_flagged_by_node_test(self):
@@ -201,9 +200,9 @@ class TestEqualEntropyPair:
         # weight pins the sorted spectrum, so entropy matching can only
         # reproduce (0.9, 0.1) itself.
         a, b = equal_entropy_pair(2)
-        sa = hermitian_spectrum(a).as_array()
-        sb = hermitian_spectrum(b).as_array()
-        assert abs(von_neumann_entropy(a) - von_neumann_entropy(b)) <= 1e-12
+        sa = a.spectrum.as_array()
+        sb = b.spectrum.as_array()
+        assert abs(entropy_of_spectrum(a.spectrum) - entropy_of_spectrum(b.spectrum)) <= 1e-12
         assert float(np.max(np.abs(sa - sb))) <= 1e-12
 
     def test_unsupported_dimension(self):
@@ -268,8 +267,8 @@ class TestSoundnessLoops:
         while count < 10:
             n = int(rng.integers(2, 9))
             a, b = random_state(n, rng), random_state(n, rng)
-            sa = hermitian_spectrum(a).as_array()
-            sb = hermitian_spectrum(b).as_array()
+            sa = a.spectrum.as_array()
+            sb = b.spectrum.as_array()
             if float(np.max(np.abs(sa - sb))) < 1e-3:
                 continue
             count += 1
@@ -312,9 +311,9 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
     for decide in (decide_nodes, decide_grid, decide_spectral):
         assert decide(rho, sigma).witness is not None
         assert not decide(rho, other).equivalent
-    von_neumann_entropy(rho)
-    EntropyCurve(hermitian_spectrum(rho)).values(default_nodes(8))
-    oracle_from_state(rho).value_fn(0.5)
+    entropy_of_spectrum(rho.spectrum)
+    EntropyCurve(rho.spectrum).values(default_nodes(8))
+    oracle_from_spectrum(rho.spectrum).value_fn(0.5)
     assert calls == []
 
     # the counters do see the solve of a state not yet decomposed
@@ -323,22 +322,22 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
 
 
 def test_one_spectrum_read_per_state(rng, monkeypatch):
-    # each decision reads each state's spectrum once, witness path included
+    # each state builds its spectrum once; every later decision reuses it
     rho = random_state(6, rng)
     sigma = conjugate(rho, random_unitary(6, rng))
     other = random_state(6, rng)
 
-    calls = []
+    built = []
+    post_init = Spectrum.__post_init__
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return hermitian_spectrum(*args, **kwargs)
+    def counting(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(equivalence, "hermitian_spectrum", counting)
+    monkeypatch.setattr(Spectrum, "__post_init__", counting)
     for decide in (decide_spectral, decide_grid, decide_nodes):
         for pair, equivalent in (((rho, sigma), True), ((rho, other), False)):
-            calls.clear()
             report = decide(*pair)
             assert report.equivalent is equivalent
             assert (report.witness is not None) is equivalent
-            assert len(calls) == 2
+    assert len(built) == 3

@@ -19,7 +19,6 @@ from entrospec import (
     decide_grid,
     decide_nodes,
     decide_spectral,
-    hermitian_spectrum,
     load_matrix,
     random_state,
     random_unitary,
@@ -46,7 +45,7 @@ def test_constructor_accepts_every_conjugated_simplex_point(seed, weights):
     state = validate_state(u @ np.diag(x) @ u.conj().T)
     assert np.array_equal(state.matrix, state.matrix.conj().T)
     assert not state.matrix.flags.writeable
-    spectrum = hermitian_spectrum(state).as_array()
+    spectrum = state.spectrum.as_array()
     assert np.max(np.abs(spectrum - np.sort(x)[::-1])) <= 1e-13
 
 
@@ -67,7 +66,7 @@ def test_constructor_raises_or_returns_a_finite_spectrum(data, n, hermitian):
             state = QuantumState(m)
         except ValidationError:
             return
-        spectrum = hermitian_spectrum(state).as_array()
+        spectrum = state.spectrum.as_array()
     assert np.isfinite(spectrum).all()
     assert abs(spectrum.sum() - 1.0) <= 1e-12
 
@@ -101,7 +100,7 @@ def test_split_degenerate_pair_is_not_equivalent(seed, n, exponent):
     # two equal top eigenvalues, and the same pair split by +-delta
     rng = np.random.default_rng(seed)
     delta = 10.0**exponent
-    spectrum = hermitian_spectrum(random_state(n, rng)).as_array()
+    spectrum = random_state(n, rng).spectrum.as_array()
     merged = spectrum.copy()
     merged[:2] = 0.5 * (spectrum[0] + spectrum[1])
     split = merged.copy()

@@ -8,9 +8,7 @@ from entrospec import (
     Spectrum,
     determinant_polynomial,
     fit_determinant_polynomial,
-    hermitian_spectrum,
     oracle_from_spectrum,
-    oracle_from_state,
     random_state,
     recover_spectrum,
     sample_log2_determinant,
@@ -23,25 +21,25 @@ from conftest import diag_state
 
 class TestSampleLog2Determinant:
     def test_maximally_mixed_is_constant(self):
-        oracle = oracle_from_state(diag_state(0.25, 0.25, 0.25, 0.25))
+        oracle = oracle_from_spectrum(diag_state(0.25, 0.25, 0.25, 0.25).spectrum)
         for lam in (0.1, 0.5, 0.9):
             assert abs(sample_log2_determinant(oracle, lam) - (-8.0)) <= 1e-12
 
     def test_matches_direct_determinant(self):
         # diag(0.75, 0.25) mixed at weight 0.5 has eigenvalues 0.625, 0.375
-        oracle = oracle_from_state(diag_state(0.75, 0.25))
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
         expected = math.log2(0.625 * 0.375)
         assert abs(sample_log2_determinant(oracle, 0.5) - expected) <= 1e-12
 
     def test_finite_difference_fallback(self):
-        oracle = oracle_from_state(diag_state(0.75, 0.25), include_derivative=False)
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum, include_derivative=False)
         assert oracle.derivative_fn is None
         expected = math.log2(0.625 * 0.375)
         assert abs(sample_log2_determinant(oracle, 0.5) - expected) <= 1e-7
 
     @pytest.mark.parametrize("lam", [0.0, -0.1, 0.95, 1.0])
     def test_rejects_weights_outside_domain(self, lam):
-        oracle = oracle_from_state(diag_state(0.5, 0.5))
+        oracle = oracle_from_spectrum(diag_state(0.5, 0.5).spectrum)
         with pytest.raises(OracleDomain):
             sample_log2_determinant(oracle, lam)
 
@@ -52,7 +50,7 @@ class TestDefaultRecoveryConfig:
     def test_node_layout(self):
         # with an analytic derivative the fit queries it once per node:
         # n + 5 fitting nodes in [0.1, 0.9], then the held-out nodes
-        base = oracle_from_state(diag_state(0.4, 0.3, 0.2, 0.1))
+        base = oracle_from_spectrum(diag_state(0.4, 0.3, 0.2, 0.1).spectrum)
         queried = []
 
         def derivative(lam):
@@ -76,43 +74,43 @@ class TestRecoveryConfigValidation:
     """The fitting nodes, the one recovery setting a caller passes."""
 
     def test_rejects_nodes_outside_domain(self):
-        oracle = oracle_from_state(diag_state(0.75, 0.25))
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
         for nodes in ((0.0, 0.4, 0.6), (0.2, 0.4, 0.95), (0.2, math.nan, 0.6)):
             with pytest.raises(ValueError, match="must lie in"):
                 recover_spectrum(oracle, nodes=nodes)
 
     def test_rejects_empty_node_sets(self):
-        oracle = oracle_from_state(diag_state(0.75, 0.25))
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
         with pytest.raises(ValueError, match="must not be empty"):
             recover_spectrum(oracle, nodes=())
 
     def test_rejects_duplicate_nodes(self):
-        oracle = oracle_from_state(diag_state(0.75, 0.25))
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
         with pytest.raises(ValueError, match="distinct"):
             recover_spectrum(oracle, nodes=(0.2, 0.4, 0.4))
 
 
 class TestFitDeterminantPolynomial:
     def test_maximally_mixed_fits_constant(self):
-        oracle = oracle_from_state(diag_state(*[0.25] * 4))
+        oracle = oracle_from_spectrum(diag_state(*[0.25] * 4).spectrum)
         poly, residual = fit_determinant_polynomial(oracle)
         assert poly.coefficients[0] == (1.0 / 4.0) ** 4
         assert max(abs(c) for c in poly.coefficients[1:]) <= 1e-9
         assert residual <= 1e-9
 
     def test_hand_expanded_coefficients(self):
-        oracle = oracle_from_state(diag_state(0.75, 0.25))
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
         poly, _ = fit_determinant_polynomial(oracle)
         np.testing.assert_allclose(poly.coefficients, (0.25, 0.0, -0.0625), atol=1e-8)
 
     def test_constant_coefficient_is_pinned(self, rng):
         state = random_state(5, rng)
-        poly, _ = fit_determinant_polynomial(oracle_from_state(state))
+        poly, _ = fit_determinant_polynomial(oracle_from_spectrum(state.spectrum))
         assert poly.coefficients[0] == (1.0 / 5.0) ** 5
 
     def test_roundtrip_against_direct_expansion(self, rng):
         for n in range(2, 7):
-            spectrum = hermitian_spectrum(random_state(n, rng))
+            spectrum = random_state(n, rng).spectrum
             direct = determinant_polynomial(spectrum)
             fitted, residual = fit_determinant_polynomial(oracle_from_spectrum(spectrum))
             np.testing.assert_allclose(
@@ -121,14 +119,14 @@ class TestFitDeterminantPolynomial:
             assert residual <= 1e-8
 
     def test_requires_enough_nodes(self):
-        oracle = oracle_from_state(diag_state(0.4, 0.3, 0.2, 0.1))
+        oracle = oracle_from_spectrum(diag_state(0.4, 0.3, 0.2, 0.1).spectrum)
         with pytest.raises(ValueError, match="need at least 5 fitting nodes"):
             recover_spectrum(oracle, nodes=(0.2, 0.4, 0.6, 0.8))
 
     def test_inconsistent_oracle_is_rejected(self, rng):
         # a smooth non-polynomial wobble in the curve cannot be matched by
         # any degree-n polynomial, so the held-out residual must blow up
-        spectrum = hermitian_spectrum(random_state(3, rng))
+        spectrum = random_state(3, rng).spectrum
         base = oracle_from_spectrum(spectrum)
         corrupt = EntropyOracle(
             value_fn=lambda lam: base.value_fn(lam) + 0.01 * math.sin(40.0 * lam),
@@ -143,13 +141,13 @@ class TestFitDeterminantPolynomial:
 
 class TestRecoverSpectrum:
     def test_maximally_mixed_trims_everything(self):
-        result = recover_spectrum(oracle_from_state(diag_state(*[0.25] * 4)))
+        result = recover_spectrum(oracle_from_spectrum(diag_state(*[0.25] * 4).spectrum))
         assert result.values == (0.25, 0.25, 0.25, 0.25)
         assert result.trimmed_degree == 4
         assert result.residual <= 1e-9
 
     def test_two_level_state(self):
-        result = recover_spectrum(oracle_from_state(diag_state(0.75, 0.25)))
+        result = recover_spectrum(oracle_from_spectrum(diag_state(0.75, 0.25).spectrum))
         np.testing.assert_allclose(result.values, (0.75, 0.25), atol=1e-8)
         assert result.trimmed_degree == 0
 
@@ -157,20 +155,20 @@ class TestRecoverSpectrum:
         # diag(1/2, 1/3, 1/6): the middle eigenvalue sits exactly at 1/n,
         # its factor is constant, and the determinant polynomial drops to
         # degree 2; trimming must restore it
-        result = recover_spectrum(oracle_from_state(diag_state(0.5, 1 / 3, 1 / 6)))
+        result = recover_spectrum(oracle_from_spectrum(diag_state(0.5, 1 / 3, 1 / 6).spectrum))
         assert result.trimmed_degree == 1
         np.testing.assert_allclose(result.values, (0.5, 1 / 3, 1 / 6), atol=1e-8)
 
     def test_analytic_roundtrip(self, rng):
         for _ in range(5):
-            spectrum = hermitian_spectrum(random_state(5, rng))
+            spectrum = random_state(5, rng).spectrum
             result = recover_spectrum(oracle_from_spectrum(spectrum))
             err = np.max(np.abs(np.array(result.values) - spectrum.as_array()))
             assert err <= 1e-6
 
     def test_finite_difference_roundtrip(self, rng):
         for _ in range(5):
-            spectrum = hermitian_spectrum(random_state(4, rng))
+            spectrum = random_state(4, rng).spectrum
             result = recover_spectrum(
                 oracle_from_spectrum(spectrum, include_derivative=False)
             )
@@ -178,14 +176,14 @@ class TestRecoverSpectrum:
             assert err <= 1e-4
 
     def test_permutation_invariance(self, rng):
-        values = tuple(hermitian_spectrum(random_state(4, rng)).values)
+        values = tuple(random_state(4, rng).spectrum.values)
         shuffled = tuple(np.array(values)[rng.permutation(4)])
         a = recover_spectrum(oracle_from_spectrum(Spectrum(values=values)))
         b = recover_spectrum(oracle_from_spectrum(Spectrum(values=shuffled)))
         np.testing.assert_allclose(a.values, b.values, atol=1e-10)
 
     def test_output_is_sorted_and_normalized(self, rng):
-        result = recover_spectrum(oracle_from_state(random_state(6, rng)))
+        result = recover_spectrum(oracle_from_spectrum(random_state(6, rng).spectrum))
         values = np.array(result.values)
         assert np.all(values[:-1] >= values[1:])
         assert abs(float(np.sum(values)) - 1.0) <= 1e-12
@@ -222,7 +220,7 @@ class TestRecoverSpectrum:
             recover_spectrum(oracle)
 
     def test_nan_at_validation_nodes_is_rejected(self, rng):
-        base = oracle_from_state(random_state(4, rng))
+        base = oracle_from_spectrum(random_state(4, rng).spectrum)
         held_out = set(VALIDATION_NODES)
         oracle = EntropyOracle(
             value_fn=lambda lam: math.nan if lam in held_out else base.value_fn(lam),
@@ -258,12 +256,12 @@ class TestRecoverSpectrum:
             derivative_fn=lambda lam: 0.0,
             dimension=2,
         )
-        with pytest.raises(DegreeDeficit):
+        with pytest.raises(DegreeDeficit, match="every recovered eigenvalue clipped to zero"):
             recover_spectrum(oracle)
 
 
 def test_recovered_as_spectrum(rng):
-    result = recover_spectrum(oracle_from_state(random_state(3, rng)))
+    result = recover_spectrum(oracle_from_spectrum(random_state(3, rng).spectrum))
     spectrum = Spectrum(values=result.values)
     assert isinstance(spectrum, Spectrum)
     assert spectrum.values == result.values

@@ -16,8 +16,6 @@ from entrospec import (
     as_complex_matrix,
     check_same_dimension,
     depolarize,
-    hermitian_eigensystem,
-    hermitian_spectrum,
     random_state,
     random_unitary,
     validate_state,
@@ -192,7 +190,7 @@ class TestCachedEigensystem:
         for n in range(2, 17):
             x = _SPECTRUM_FAMILIES[family](n, rng)
             state = validate_state(_conjugated_diagonal(x, rng))
-            values, vectors = hermitian_eigensystem(state)
+            values, vectors = state.eigensystem
             assert np.max(np.abs(values - np.sort(x)[::-1])) <= 1e-14
             rebuilt = (vectors * values) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - state.matrix)) <= 1e-13
@@ -200,36 +198,36 @@ class TestCachedEigensystem:
     def test_reconstruction_residual(self, rng):
         for n in (2, 5, 8, 16):
             state = validate_state(random_state(n, rng).matrix)
-            values, vectors = hermitian_eigensystem(state)
+            values, vectors = state.eigensystem
             rebuilt = vectors @ np.diag(values) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - state.matrix)) <= 1e-13
 
     def test_eigenvectors_orthonormal(self, rng):
         state = validate_state(random_state(7, rng).matrix)
-        _, vectors = hermitian_eigensystem(state)
+        _, vectors = state.eigensystem
         gram = vectors.conj().T @ vectors
         np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
 
     def test_one_by_one(self):
-        values, vectors = hermitian_eigensystem(validate_state(np.array([[1.0]])))
+        values, vectors = validate_state(np.array([[1.0]])).eigensystem
         assert values[0] == 1.0
         assert vectors[0, 0] == 1.0
 
     def test_hand_computed_two_by_two(self):
         # characteristic polynomial x^2 - x + 3/16 has roots 3/4 and 1/4
         state = validate_state(np.array([[0.5, 0.25], [0.25, 0.5]]))
-        values, _ = hermitian_eigensystem(state)
+        values, _ = state.eigensystem
         np.testing.assert_allclose(values, [0.75, 0.25], atol=1e-14)
 
     def test_complex_offdiagonal(self):
         m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
-        values, vectors = hermitian_eigensystem(validate_state(m))
+        values, vectors = validate_state(m).eigensystem
         np.testing.assert_allclose(values, [0.75, 0.25], atol=1e-14)
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         np.testing.assert_allclose(rebuilt, m, atol=1e-14)
 
     def test_returned_arrays_are_read_only(self, rng):
-        values, vectors = hermitian_eigensystem(validate_state(random_state(4, rng).matrix))
+        values, vectors = validate_state(random_state(4, rng).matrix).eigensystem
         for cached in (values, vectors):
             with pytest.raises(ValueError):
                 cached[0] = 0.0
@@ -237,37 +235,45 @@ class TestCachedEigensystem:
 
 class TestHermitianSpectrum:
     def test_maximal_mixed(self):
-        spectrum = hermitian_spectrum(validate_state(np.eye(4) / 4))
+        spectrum = validate_state(np.eye(4) / 4).spectrum
         np.testing.assert_allclose(spectrum.values, [0.25] * 4, atol=1e-15)
         np.testing.assert_allclose(spectrum.shifted(), 0.0, atol=1e-15)
 
     def test_already_diagonal(self):
-        spectrum = hermitian_spectrum(diag_state(0.75, 0.25))
+        spectrum = diag_state(0.75, 0.25).spectrum
         np.testing.assert_allclose(spectrum.values, [0.75, 0.25], atol=1e-15)
         np.testing.assert_allclose(spectrum.shifted(), [0.25, -0.25], atol=1e-15)
 
     def test_hand_computed_spectrum(self):
         state = validate_state(np.array([[0.5, 0.25], [0.25, 0.5]]))
-        spectrum = hermitian_spectrum(state)
+        spectrum = state.spectrum
         np.testing.assert_allclose(spectrum.values, [0.75, 0.25], atol=1e-12)
 
     def test_descending_order(self):
-        spectrum = hermitian_spectrum(diag_state(0.1, 0.5, 0.4))
+        spectrum = diag_state(0.1, 0.5, 0.4).spectrum
         assert list(spectrum.values) == sorted(spectrum.values, reverse=True)
 
     def test_clamps_and_renormalizes(self):
         state = validate_state(np.diag([1.0 + 5e-10, -5e-10]))
-        spectrum = hermitian_spectrum(state)
+        spectrum = state.spectrum
         assert all(x >= 0.0 for x in spectrum.values)
         assert abs(sum(spectrum.values) - 1.0) < 1e-15
 
     def test_shifted_sums_to_zero(self, rng):
-        spectrum = hermitian_spectrum(random_state(6, rng))
+        spectrum = random_state(6, rng).spectrum
         assert abs(float(np.sum(spectrum.shifted()))) < 1e-12
+
+    def test_cached_and_read_only(self, rng):
+        state = random_state(4, rng)
+        assert state.spectrum is state.spectrum
+        assert state.eigensystem is state.eigensystem
+        for name in ("spectrum", "eigensystem"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, None)
 
     def test_eigensystem_descending_with_vectors(self, rng):
         state = random_state(5, rng)
-        values, vectors = hermitian_eigensystem(state)
+        values, vectors = state.eigensystem
         assert list(values) == sorted(values, reverse=True)
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         np.testing.assert_allclose(rebuilt, state.matrix, atol=1e-12)
@@ -341,16 +347,16 @@ class TestDepolarize:
             n = int(rng.integers(2, 9))
             state = random_state(n, rng)
             lam = float(rng.uniform(0.0, 1.0))
-            base = hermitian_spectrum(state).as_array()
+            base = state.spectrum.as_array()
             expected = np.sort(lam * base + (1 - lam) / n)[::-1]
-            got = hermitian_spectrum(depolarize(state, lam)).as_array()
+            got = depolarize(state, lam).spectrum.as_array()
             np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
 def test_every_state_matrix_is_read_only(rng):
     # a write after the cached spectrum was read would leave it stale
     state = random_state(3, rng)
-    hermitian_spectrum(state)
+    state.spectrum
     for matrix in (state.matrix, depolarize(state, 0.5).matrix):
         with pytest.raises(ValueError):
             matrix[:] = np.eye(3) / 3
