@@ -7,8 +7,9 @@ form over those shifts: the entropy curve, its first two derivatives, and
 the determinant of the mixed state, which is a degree-n polynomial in lam
 whose log the recovery pipeline can sample from entropy values alone.
 
-All entropies are in bits. Natural-log constants appear only as 1/ln 2
-inside derivative formulas.
+All entropies are in bits, and every one of them, of a spectrum or along
+the curve, is the same sum, in which zero eigenvalues add exact zeros.
+Natural-log constants appear only as 1/ln 2 inside derivative formulas.
 """
 
 from __future__ import annotations
@@ -23,16 +24,20 @@ from .states import Spectrum
 _LN2 = float(np.log(2.0))
 
 
-def entropy_of_spectrum(spectrum: Spectrum) -> float:
-    """Entropy -sum x_i log2 x_i of an eigenvalue vector, in bits.
+def _entropy_bits(w: np.ndarray) -> np.ndarray | float:
+    """-sum w log2 w over the last axis, in bits: the one entropy sum.
 
-    Entries <= 0 contribute exactly zero (explicit branch, not a limit),
-    so pure states give 0.0 with no NaN anywhere.
+    Entries <= 0 add an exact 0 (explicit branch, not a limit), so pure
+    states give 0.0 with no NaN anywhere.
     """
-    xs = spectrum.as_array()
-    pos = xs[xs > 0.0]
+    safe = np.where(w > 0.0, w, 1.0)
     # + 0.0 keeps a pure state's entropy from printing as -0.0
-    return float(-np.sum(pos * np.log2(pos))) + 0.0
+    return -(safe * np.log2(safe)).sum(axis=-1) + 0.0
+
+
+def entropy_of_spectrum(spectrum: Spectrum) -> float:
+    """Entropy -sum x_i log2 x_i of an eigenvalue vector, in bits."""
+    return float(_entropy_bits(spectrum.as_array()))
 
 
 @dataclass(frozen=True)
@@ -53,43 +58,31 @@ class EntropyCurve:
         return self.spectrum.dimension
 
     def _mixed_eigenvalues(self, lam: float) -> np.ndarray:
+        if not 0.0 <= lam <= 1.0:
+            raise LambdaOutOfRange(lam, "[0, 1]")
         return lam * self.spectrum.shifted() + 1.0 / self.dimension
 
     def value(self, lam: float) -> float:
         """Entropy in bits at mixing weight lam, for lam in [0, 1]."""
-        if not 0.0 <= lam <= 1.0:
-            raise LambdaOutOfRange(lam, "[0, 1]")
-        w = self._mixed_eigenvalues(lam)
-        pos = w[w > 0.0]
-        return float(-np.sum(pos * np.log2(pos))) + 0.0
+        return float(_entropy_bits(self._mixed_eigenvalues(lam)))
 
     def values(self, lams) -> np.ndarray:
         """Entropy in bits at every weight of a 1-D array, in one pass.
 
-        Bitwise equal to ``[value(lam) for lam in lams]``: each row sums
-        the same positive terms, in the same order, as ``value`` does, and
-        numpy's summation order depends on the number of terms, so rows
-        are grouped by that number. Raises LambdaOutOfRange, naming the
-        first offending weight, if any weight lies outside [0, 1].
+        Bitwise equal to ``[value(lam) for lam in lams]``: both use the
+        same sum. Raises ValueError on an array of more than one dimension,
+        and LambdaOutOfRange, naming the first offending weight, if any
+        weight lies outside [0, 1].
         """
-        lams = np.asarray(lams, dtype=np.float64).reshape(-1)
+        lams = np.asarray(lams, dtype=np.float64)
+        if lams.ndim > 1:
+            raise ValueError(f"weights must be a 1-D array, got shape {lams.shape}")
+        lams = lams.reshape(-1)
         outside = ~((lams >= 0.0) & (lams <= 1.0))
         if outside.any():
             raise LambdaOutOfRange(float(lams[outside][0]), "[0, 1]")
-        w = np.multiply.outer(lams, self.spectrum.shifted()) + 1.0 / self.dimension
-        positive = w > 0.0
-        safe = np.where(positive, w, 1.0)
-        terms = safe * np.log2(safe)
-        counts = positive.sum(axis=1)
-        if (counts < self.dimension).any():
-            # move each row's positive terms to its front, keeping their order
-            order = np.argsort(~positive, axis=1, kind="stable")
-            terms = np.take_along_axis(terms, order, axis=1)
-        out = np.empty(lams.shape[0])
-        for k in set(counts.tolist()):
-            rows = counts == k
-            out[rows] = -terms[rows, :k].sum(axis=1)
-        return out + 0.0
+        u = self.spectrum.shifted()
+        return _entropy_bits(np.multiply.outer(lams, u) + 1.0 / self.dimension)
 
     def derivative(self, lam: float) -> float:
         """First derivative: -sum_i u_i log2(lam * u_i + 1/n).
@@ -127,8 +120,6 @@ class EntropyCurve:
         return n * (lam * self.derivative(lam) - self.value(lam))
 
     def _positive_mixed_eigenvalues(self, lam: float, what: str) -> np.ndarray:
-        if not 0.0 <= lam <= 1.0:
-            raise LambdaOutOfRange(lam, "[0, 1]")
         w = self._mixed_eigenvalues(lam)
         if np.any(w <= 0.0):
             raise SingularEndpoint(lam, what)

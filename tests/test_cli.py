@@ -39,6 +39,7 @@ class TestEntropyCommand:
         code, out, _ = run(capsys, ["entropy", path])
         assert code == 0
         assert json.loads(out)["entropy_bits"] == 0.0
+        assert '"entropy_bits": 0.0' in out
 
     def test_off_diagonal_state(self, tmp_path, capsys):
         path = write_state(tmp_path, "plus.json", [[0.5, 0.25], [0.25, 0.5]])

@@ -88,6 +88,22 @@ class TestEntropyCurveValue:
         with pytest.raises(LambdaOutOfRange):
             curve.value(1.5)
 
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan, math.inf])
+    @pytest.mark.parametrize("method", ["value", "derivative", "second_derivative"])
+    def test_scalar_domain_check(self, method, bad):
+        # the three scalar evaluators share one check on the weight
+        curve = EntropyCurve(Spectrum(values=(0.75, 0.25)))
+        with pytest.raises(LambdaOutOfRange):
+            getattr(curve, method)(bad)
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_pure_state_entropy_is_positive_zero(self, n):
+        # the sum of zero terms is -0.0 before the kernel adds + 0.0
+        spectrum = Spectrum(values=(1.0,) + (0.0,) * (n - 1))
+        curve = EntropyCurve(spectrum)
+        for x in (entropy_of_spectrum(spectrum), curve.value(1.0), curve.values([0.0, 1.0])[1]):
+            assert x == 0.0 and math.copysign(1.0, x) == 1.0
+
 
 def _low_rank_spectrum(n, rank, rng) -> Spectrum:
     top = rng.uniform(0.1, 1.0, size=rank)
@@ -99,7 +115,8 @@ class TestEntropyCurveValues:
     """The one-pass array evaluator against the scalar ``value``."""
 
     def test_bitwise_equal_to_value(self, rng):
-        # numpy sums 8 or more terms pairwise, fewer in sequence
+        # the sizes straddle 8 because numpy sums pairwise from 8 terms on,
+        # so a sum taken two ways would show here
         spectra = [
             random_state(n, rng).spectrum for n in (1, 2, 3, 7, 8, 9, 16, 17)
         ]
@@ -124,6 +141,12 @@ class TestEntropyCurveValues:
         with pytest.raises(LambdaOutOfRange) as info:
             curve.values([0.0, 0.5, bad, 1.0])
         assert info.value.lam == bad or (math.isnan(bad) and math.isnan(info.value.lam))
+
+    def test_rejects_two_dimensional_weights(self):
+        curve = EntropyCurve(Spectrum(values=(0.5, 0.5)))
+        with pytest.raises(ValueError):
+            curve.values([[0.1, 0.2], [0.3, 0.4]])
+        assert curve.values(0.5).tolist() == [curve.value(0.5)]
 
 
 class TestEntropyCurveDerivatives:
