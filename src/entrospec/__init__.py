@@ -23,7 +23,6 @@ from .equivalence import (
     equal_entropy_pair,
 )
 from .errors import (
-    BadNodeCount,
     ComplexRoots,
     DegreeDeficit,
     DimensionMismatch,
@@ -65,7 +64,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadNodeCount",
     "ComplexMatrix",
     "ComplexRoots",
     "DegreeDeficit",

@@ -79,12 +79,6 @@ def _build_parser() -> _Parser:
     p_equiv.add_argument("--mode", choices=("spectral", "t1", "t2"), default="t2",
                          help="spectral oracle, dense-grid curve comparison (t1), "
                               "or 2n-node comparison (t2)")
-    p_equiv.add_argument("--a", type=float, default=EquivalenceConfig.grid_limit,
-                         dest="grid_limit", help="grid upper bound for --mode t1")
-    p_equiv.add_argument("--points", type=int, default=EquivalenceConfig.grid_points,
-                         dest="grid_points")
-    p_equiv.add_argument("--nodes", type=float, nargs="+",
-                         help="explicit 2n node weights for --mode t2")
     p_equiv.add_argument("--entropy-tol", type=float, default=EquivalenceConfig.entropy_tol)
     p_equiv.add_argument("--spectrum-tol", type=float,
                          default=EquivalenceConfig.spectrum_tol)
@@ -97,8 +91,6 @@ def _build_parser() -> _Parser:
 
     p_selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
     p_selftest.add_argument("--seed", type=int, default=42, help="RNG seed")
-    p_selftest.add_argument("--entropy-tol", type=float,
-                            default=EquivalenceConfig.entropy_tol)
 
     return parser
 
@@ -176,13 +168,7 @@ _DECIDERS = {"spectral": decide_spectral, "t1": decide_grid, "t2": decide_nodes}
 def _cmd_equiv(args: argparse.Namespace) -> int:
     rho = _load_state(args.state_file_a)
     sigma = _load_state(args.state_file_b)
-    eq_cfg = EquivalenceConfig(
-        grid_limit=args.grid_limit,
-        grid_points=args.grid_points,
-        nodes=args.nodes,
-        entropy_tol=args.entropy_tol,
-        spectrum_tol=args.spectrum_tol,
-    )
+    eq_cfg = EquivalenceConfig(entropy_tol=args.entropy_tol, spectrum_tol=args.spectrum_tol)
     report = _DECIDERS[args.mode](rho, sigma, eq_cfg)
     payload = {"n": rho.dimension}
     payload.update(report.to_dict())
@@ -215,7 +201,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    results = run_selftest(args.seed, args.entropy_tol)
+    results = run_selftest(args.seed)
     for res in results:
         status = "ok" if res.passed else "FAIL"
         print(f"{status:4s} {res.name} (residual {res.max_residual:.3e})", file=sys.stderr)
@@ -223,7 +209,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     _emit(
         {
             "seed": args.seed,
-            "entropy_tol": args.entropy_tol,
+            "entropy_tol": EquivalenceConfig.entropy_tol,
             "all_passed": all_passed,
             "properties": [res.to_dict() for res in results],
         }

@@ -4,10 +4,10 @@ Two states are unitarily equivalent exactly when their eigenvalue multisets
 coincide. This module offers three deciders:
 
 * ``decide_spectral`` compares sorted spectra directly (the oracle).
-* ``decide_grid`` compares the two entropy curves on a dense grid strictly
-  inside (0, grid_limit).
-* ``decide_nodes`` compares entropy at exactly 2n fixed mixing weights,
-  the finitary test; by default the nodes are i/(2n), i = 1..2n.
+* ``decide_grid`` compares the two entropy curves on GRID_POINTS uniform
+  nodes strictly inside (0, GRID_LIMIT).
+* ``decide_nodes`` compares entropy at the 2n fixed mixing weights i/(2n),
+  i = 1..2n, the finitary test.
 
 All three share one verdict rule: a pair is equivalent iff the sorted
 spectral distance is at most spectrum_tol and, for the curve deciders,
@@ -24,49 +24,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import EntropyCurve, entropy_of_spectrum
-from .errors import BadNodeCount
 from .states import QuantumState, Spectrum, check_same_dimension, validate_state
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
 
+GRID_LIMIT = 0.9
+GRID_POINTS = 64
+
 
 @dataclass(frozen=True)
 class EquivalenceConfig:
-    """Grid, node, and tolerance settings for the deciders.
+    """The two tolerances of the verdict rule.
 
-    ``grid_limit`` is the open upper end of the dense-grid interval;
-    ``nodes`` overrides the default 2n node set (must then have exactly
-    2n strictly increasing entries in (0, 1]); ``entropy_tol`` is the
-    per-node gap threshold in bits; ``spectrum_tol`` bounds the sorted
-    spectral distance, which every decider tests. Both tolerances must be
-    finite and positive.
+    ``entropy_tol`` is the per-node gap threshold in bits; ``spectrum_tol``
+    bounds the sorted spectral distance, which every decider tests. Both
+    must be finite and positive. The node sets are fixed by each method.
     """
 
-    grid_limit: float = 0.9
-    grid_points: int = 64
-    nodes: tuple[float, ...] | None = None
     entropy_tol: float = 1e-9
     spectrum_tol: float = 1e-8
 
     def __post_init__(self):
-        # every check is written so that NaN and +-inf fail it
-        if not 0.0 < self.grid_limit <= 1.0:
-            raise ValueError(f"grid_limit must be in (0, 1], got {self.grid_limit}")
-        points = self.grid_points
-        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-            raise ValueError(f"grid_points must be an integer >= 2, got {points!r}")
+        # written so that NaN and +-inf fail it
         if not (0.0 < self.entropy_tol < math.inf and 0.0 < self.spectrum_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
-        if self.nodes is not None:
-            nodes = tuple(float(x) for x in self.nodes)
-            if not nodes:
-                raise ValueError("nodes must not be empty")
-            if not all(b > a for a, b in zip(nodes, nodes[1:])):
-                raise ValueError("nodes must be strictly increasing")
-            if not (0.0 < nodes[0] and nodes[-1] <= 1.0):
-                raise ValueError("nodes must lie in (0, 1]")
-            object.__setattr__(self, "nodes", nodes)
 
 
 @dataclass(frozen=True)
@@ -114,7 +96,7 @@ class EquivalenceReport:
 
 
 def default_nodes(n: int) -> tuple[float, ...]:
-    """The default 2n node set i/(2n), i = 1..2n; always includes 1.0."""
+    """The 2n node set i/(2n), i = 1..2n, of decide_nodes; includes 1.0."""
     return tuple(i / (2 * n) for i in range(1, 2 * n + 1))
 
 
@@ -190,14 +172,13 @@ def decide_grid(
 ) -> EquivalenceReport:
     """Equivalence by entropy-curve agreement on a dense interior grid.
 
-    Samples grid_points uniform nodes strictly inside (0, grid_limit):
-    lam_j = grid_limit * j / (grid_points + 1). Verdict is "equivalent"
+    Samples GRID_POINTS uniform nodes strictly inside (0, GRID_LIMIT):
+    lam_j = GRID_LIMIT * j / (GRID_POINTS + 1). Verdict is "equivalent"
     iff every gap is at most entropy_tol and the sorted spectra agree
     within spectrum_tol; a witness is then attached.
     """
     check_same_dimension(rho, sigma)
-    m = cfg.grid_points
-    nodes = cfg.grid_limit * np.arange(1, m + 1) / (m + 1)
+    nodes = GRID_LIMIT * np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
     return _decide(rho, sigma, "grid", cfg, nodes)
 
 
@@ -206,18 +187,13 @@ def decide_nodes(
     sigma: QuantumState,
     cfg: EquivalenceConfig = EquivalenceConfig(),
 ) -> EquivalenceReport:
-    """Equivalence by entropy agreement at exactly 2n fixed nodes.
+    """Equivalence by entropy agreement at the 2n nodes i/(2n).
 
-    Uses cfg.nodes when given (must have exactly 2n entries), else the
-    default node set i/(2n). Since the default includes lam = 1, this
-    decider compares the plain entropies of the two states as one of its
-    nodes.
+    Since the node set includes lam = 1, this decider compares the plain
+    entropies of the two states as one of its nodes.
     """
     n = check_same_dimension(rho, sigma)
-    nodes = cfg.nodes if cfg.nodes is not None else default_nodes(n)
-    if len(nodes) != 2 * n:
-        raise BadNodeCount(len(nodes), 2 * n)
-    return _decide(rho, sigma, "nodes", cfg, np.asarray(nodes))
+    return _decide(rho, sigma, "nodes", cfg, np.asarray(default_nodes(n)))
 
 
 def equal_entropy_pair(n: int) -> tuple[QuantumState, QuantumState]:

@@ -86,16 +86,6 @@ class DimensionMismatch(EntrospecError):
         )
 
 
-class BadNodeCount(EntrospecError):
-    def __init__(self, got: int, needed: int):
-        self.got = got
-        self.needed = needed
-        super().__init__(
-            f"finite node test needs at least {needed} distinct nodes in "
-            f"(0, 1], got {got}"
-        )
-
-
 class OracleDomain(EntrospecError):
     """Entropy oracle was queried outside its declared domain."""
 

@@ -1,10 +1,11 @@
 """Deterministic self-test suite behind the CLI selftest command.
 
 Each property mirrors one of the library's documented invariants and runs
-on seeded random fixtures: a given (seed, tolerance) pair always produces
-the identical report, so two runs of the CLI can be compared byte for
-byte. Residuals are reported next to pass/fail so threshold margins stay
-visible instead of collapsing to a boolean.
+on seeded random fixtures at the library's default tolerances and returns
+(passed, residual, detail): a given seed always produces the identical
+report, so two runs of the CLI can be compared byte for byte. Residuals are
+reported next to pass/fail so threshold margins stay visible instead of
+collapsing to a boolean.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ class PropertyResult:
         }
 
 
-def _result(name: str, passed, residual, detail: str) -> PropertyResult:
-    return PropertyResult(
-        name=name, passed=bool(passed), max_residual=float(residual), detail=detail
-    )
-
-
 def _random_dim(rng: np.random.Generator, high: int = 8) -> int:
     return int(rng.integers(2, high + 1))
 
@@ -84,7 +79,7 @@ def _spectral_distance(a: QuantumState, b: QuantumState) -> float:
 # state-core invariants
 
 
-def _prop_eigensolver_reconstruction(name, rng, entropy_tol):
+def _prop_eigensolver_reconstruction(rng):
     bound = 1e-10
     worst = 0.0
     for n in (2, 3, 5, 8, 12, 16):
@@ -92,10 +87,10 @@ def _prop_eigensolver_reconstruction(name, rng, entropy_tol):
         values, vectors = state.eigensystem
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         worst = max(worst, float(np.max(np.abs(rebuilt - state.matrix))))
-    return _result(name, worst <= bound, worst, "V D V* vs input, n up to 16, bound 1e-10")
+    return worst <= bound, worst, "V D V* vs input, n up to 16, bound 1e-10"
 
 
-def _prop_depolarize_spectrum_map(name, rng, entropy_tol):
+def _prop_depolarize_spectrum_map(rng):
     bound = 1e-10
     worst = 0.0
     for _ in range(20):
@@ -106,10 +101,10 @@ def _prop_depolarize_spectrum_map(name, rng, entropy_tol):
         expected = np.sort(lam * base + (1.0 - lam) / n)[::-1]
         got = depolarize(state, lam).spectrum.as_array()
         worst = max(worst, float(np.max(np.abs(got - expected))))
-    return _result(name, worst <= bound, worst, "mixed spectrum is the affine image, bound 1e-10")
+    return worst <= bound, worst, "mixed spectrum is the affine image, bound 1e-10"
 
 
-def _prop_spectrum_unitary_invariance(name, rng, entropy_tol):
+def _prop_spectrum_unitary_invariance(rng):
     bound = 1e-9
     worst = 0.0
     for _ in range(20):
@@ -117,10 +112,10 @@ def _prop_spectrum_unitary_invariance(name, rng, entropy_tol):
         state = random_state(n, rng)
         rotated = _conjugate(state, random_unitary(n, rng))
         worst = max(worst, _spectral_distance(state, rotated))
-    return _result(name, worst <= bound, worst, "conjugation leaves the spectrum, bound 1e-9")
+    return worst <= bound, worst, "conjugation leaves the spectrum, bound 1e-9"
 
 
-def _prop_random_state_validity(name, rng, entropy_tol):
+def _prop_random_state_validity(rng):
     worst = 0.0
     failures = 0
     for _ in range(20):
@@ -136,17 +131,14 @@ def _prop_random_state_validity(name, rng, entropy_tol):
         trace_dev = abs(float(np.trace(m).real) - 1.0)
         min_eig = float(np.min(state.eigensystem[0]))
         worst = max(worst, herm, trace_dev, max(0.0, -min_eig))
-    return _result(
-        name, failures == 0 and worst <= 1e-9, worst,
-        "20 random draws pass all state invariants",
-    )
+    return failures == 0 and worst <= 1e-9, worst, "20 random draws pass all state invariants"
 
 
 # ---------------------------------------------------------------------------
 # entropy invariants
 
 
-def _prop_curve_matches_entropy(name, rng, entropy_tol):
+def _prop_curve_matches_entropy(rng):
     bound = 1e-10
     worst = 0.0
     for _ in range(50):
@@ -156,10 +148,10 @@ def _prop_curve_matches_entropy(name, rng, entropy_tol):
         curve = EntropyCurve(state.spectrum)
         direct = entropy_of_spectrum(depolarize(state, lam).spectrum)
         worst = max(worst, abs(curve.value(lam) - direct))
-    return _result(name, worst <= bound, worst, "curve value vs mixed-state entropy, bound 1e-10")
+    return worst <= bound, worst, "curve value vs mixed-state entropy, bound 1e-10"
 
 
-def _prop_derivative_fd(name, rng, entropy_tol):
+def _prop_derivative_fd(rng):
     bound = 1e-6
     step = 1e-6
     worst = 0.0
@@ -169,10 +161,10 @@ def _prop_derivative_fd(name, rng, entropy_tol):
         for lam in (0.2, 0.5, 0.8):
             fd = (curve.value(lam + step) - curve.value(lam - step)) / (2 * step)
             worst = max(worst, abs(curve.derivative(lam) - fd))
-    return _result(name, worst <= bound, worst, "first derivative vs central difference, bound 1e-6")
+    return worst <= bound, worst, "first derivative vs central difference, bound 1e-6"
 
 
-def _prop_second_derivative_fd(name, rng, entropy_tol):
+def _prop_second_derivative_fd(rng):
     bound = 1e-5
     step = 1e-4
     worst = 0.0
@@ -184,10 +176,10 @@ def _prop_second_derivative_fd(name, rng, entropy_tol):
                 curve.value(lam + step) - 2.0 * curve.value(lam) + curve.value(lam - step)
             ) / (step * step)
             worst = max(worst, abs(curve.second_derivative(lam) - fd))
-    return _result(name, worst <= bound, worst, "second derivative vs central difference, bound 1e-5")
+    return worst <= bound, worst, "second derivative vs central difference, bound 1e-5"
 
 
-def _prop_log2_determinant_identity(name, rng, entropy_tol):
+def _prop_log2_determinant_identity(rng):
     bound = 1e-9
     worst = 0.0
     for _ in range(20):
@@ -198,13 +190,10 @@ def _prop_log2_determinant_identity(name, rng, entropy_tol):
             lam = float(lam)
             direct = float(np.sum(np.log2(lam * spectrum.shifted() + 1.0 / n)))
             worst = max(worst, abs(curve.log2_determinant(lam) - direct))
-    return _result(
-        name, worst <= bound, worst,
-        "n(lam S' - S) vs direct log-product, 9 nodes, bound 1e-9",
-    )
+    return worst <= bound, worst, "n(lam S' - S) vs direct log-product, 9 nodes, bound 1e-9"
 
 
-def _prop_product_degree_bound(name, rng, entropy_tol):
+def _prop_product_degree_bound(rng):
     bound = 1e-8
     worst = 0.0
     for n in range(2, 7):
@@ -230,13 +219,13 @@ def _prop_product_degree_bound(name, rng, entropy_tol):
             over_coeffs, _, _, _ = np.linalg.lstsq(over, y, rcond=None)
             top = float(np.max(np.abs(over_coeffs[-2:])))
             worst = max(worst, rel, top)
-    return _result(
-        name, worst <= bound, worst,
+    return (
+        worst <= bound, worst,
         "gap-curvature times both determinants fits at degree 2n-2, bound 1e-8",
     )
 
 
-def _prop_curvature_product_coefficient(name, rng, entropy_tol):
+def _prop_curvature_product_coefficient(rng):
     bound = 1e-10
     worst = 0.0
     for _ in range(20):
@@ -244,8 +233,8 @@ def _prop_curvature_product_coefficient(name, rng, entropy_tol):
         spectrum = random_state(n, rng).spectrum
         coeffs = second_derivative_times_determinant(spectrum)
         worst = max(worst, abs(float(coeffs[-1])))
-    return _result(
-        name, worst <= bound, worst,
+    return (
+        worst <= bound, worst,
         "top coefficient of curvature-determinant product vanishes, bound 1e-10",
     )
 
@@ -254,8 +243,7 @@ def _prop_curvature_product_coefficient(name, rng, entropy_tol):
 # equivalence invariants
 
 
-def _prop_equivalent_pairs(name, rng, entropy_tol):
-    cfg = EquivalenceConfig(entropy_tol=entropy_tol)
+def _prop_equivalent_pairs(rng):
     worst = 0.0
     failures = 0
     for _ in range(100):
@@ -263,18 +251,14 @@ def _prop_equivalent_pairs(name, rng, entropy_tol):
         state = random_state(n, rng)
         rotated = _conjugate(state, random_unitary(n, rng))
         for decide in (decide_spectral, decide_grid, decide_nodes):
-            report = decide(state, rotated, cfg)
+            report = decide(state, rotated)
             if not report.equivalent or report.witness is None:
                 failures += 1
             worst = max(worst, report.max_entropy_gap)
-    return _result(
-        name, failures == 0, worst,
-        "100 conjugate pairs equivalent under all three methods",
-    )
+    return failures == 0, worst, "100 conjugate pairs equivalent under all three methods"
 
 
-def _prop_distinct_pairs_flagged(name, rng, entropy_tol):
-    cfg = EquivalenceConfig(entropy_tol=entropy_tol)
+def _prop_distinct_pairs_flagged(rng):
     tightest = float("inf")
     failures = 0
     count = 0
@@ -285,18 +269,17 @@ def _prop_distinct_pairs_flagged(name, rng, entropy_tol):
         if _spectral_distance(a, b) < 1e-3:
             continue
         count += 1
-        report = decide_nodes(a, b, cfg)
+        report = decide_nodes(a, b)
         if report.equivalent:
             failures += 1
         tightest = min(tightest, report.max_entropy_gap)
-    return _result(
-        name, failures == 0, tightest,
+    return (
+        failures == 0, tightest,
         "100 distinct pairs flagged by the node test; residual is the smallest max-gap seen",
     )
 
 
-def _prop_method_agreement(name, rng, entropy_tol):
-    cfg = EquivalenceConfig(entropy_tol=entropy_tol)
+def _prop_method_agreement(rng):
     disagreements = 0
     for index in range(40):
         n = _random_dim(rng)
@@ -306,29 +289,25 @@ def _prop_method_agreement(name, rng, entropy_tol):
         else:
             b = random_state(n, rng)
         verdicts = {
-            decide(a, b, cfg).verdict
+            decide(a, b).verdict
             for decide in (decide_spectral, decide_grid, decide_nodes)
         }
         if len(verdicts) != 1:
             disagreements += 1
-    return _result(
-        name, disagreements == 0, float(disagreements),
-        "three methods agree on 40 mixed pairs",
-    )
+    return disagreements == 0, float(disagreements), "three methods agree on 40 mixed pairs"
 
 
-def _prop_witness_residuals(name, rng, entropy_tol):
+def _prop_witness_residuals(rng):
     worst_conj = 0.0
     worst_unitary = 0.0
-    cfg = EquivalenceConfig(entropy_tol=entropy_tol)
     for _ in range(20):
         n = _random_dim(rng)
         state = random_state(n, rng)
         rotated = _conjugate(state, random_unitary(n, rng))
-        report = decide_nodes(state, rotated, cfg)
+        report = decide_nodes(state, rotated)
         if report.witness is None:
-            return _result(
-                name, False, float("inf"),
+            return (
+                False, float("inf"),
                 "conjugate pair not decided equivalent at this tolerance, no witness",
             )
         w = report.witness
@@ -341,25 +320,25 @@ def _prop_witness_residuals(name, rng, entropy_tol):
             float(np.max(np.abs(w @ w.conj().T - np.eye(n)))),
         )
     passed = worst_conj <= 1e-8 and worst_unitary <= 1e-10
-    return _result(
-        name, passed, max(worst_conj, worst_unitary),
+    return (
+        passed, max(worst_conj, worst_unitary),
         f"conjugation residual {worst_conj:.3e} (bound 1e-8), "
         f"unitarity residual {worst_unitary:.3e} (bound 1e-10)",
     )
 
 
-def _prop_single_point_insufficiency(name, rng, entropy_tol):
+def _prop_single_point_insufficiency(rng):
     a, b = equal_entropy_pair(3)
     entropy_gap = abs(entropy_of_spectrum(a.spectrum) - entropy_of_spectrum(b.spectrum))
     distance = _spectral_distance(a, b)
-    report = decide_nodes(a, b, EquivalenceConfig(entropy_tol=entropy_tol))
+    report = decide_nodes(a, b)
     passed = (
-        entropy_gap <= entropy_tol
+        entropy_gap <= EquivalenceConfig.entropy_tol
         and distance >= 1e-3
         and not report.equivalent
     )
-    return _result(
-        name, passed, entropy_gap,
+    return (
+        passed, entropy_gap,
         f"entropies agree at full weight (gap {entropy_gap:.3e}) yet spectra differ "
         f"by {distance:.3e}; node test max gap {report.max_entropy_gap:.3e}",
     )
@@ -381,17 +360,17 @@ def _roundtrip_worst(rng, include_derivative: bool, count: int) -> float:
     return worst
 
 
-def _prop_recovery_roundtrip_analytic(name, rng, entropy_tol):
+def _prop_recovery_roundtrip_analytic(rng):
     worst = _roundtrip_worst(rng, True, 50)
-    return _result(name, worst <= 1e-6, worst, "50 roundtrips with analytic derivative, bound 1e-6")
+    return worst <= 1e-6, worst, "50 roundtrips with analytic derivative, bound 1e-6"
 
 
-def _prop_recovery_roundtrip_fd(name, rng, entropy_tol):
+def _prop_recovery_roundtrip_fd(rng):
     worst = _roundtrip_worst(rng, False, 50)
-    return _result(name, worst <= 1e-4, worst, "50 roundtrips with finite differences, bound 1e-4")
+    return worst <= 1e-4, worst, "50 roundtrips with finite differences, bound 1e-4"
 
 
-def _prop_recovery_permutation_invariance(name, rng, entropy_tol):
+def _prop_recovery_permutation_invariance(rng):
     bound = 1e-8
     worst = 0.0
     for _ in range(10):
@@ -401,10 +380,7 @@ def _prop_recovery_permutation_invariance(name, rng, entropy_tol):
         rec_a = np.asarray(recover_spectrum(oracle_from_spectrum(state.spectrum)).values)
         rec_b = np.asarray(recover_spectrum(oracle_from_spectrum(rotated.spectrum)).values)
         worst = max(worst, float(np.max(np.abs(rec_a - rec_b))))
-    return _result(
-        name, worst <= bound, worst,
-        "recovery sees only the spectrum, not the eigenbasis, bound 1e-8",
-    )
+    return worst <= bound, worst, "recovery sees only the spectrum, not the eigenbasis, bound 1e-8"
 
 
 def _noisy_oracle(state: QuantumState, eps: float, rng: np.random.Generator) -> EntropyOracle:
@@ -421,7 +397,7 @@ def _noisy_oracle(state: QuantumState, eps: float, rng: np.random.Generator) -> 
     )
 
 
-def _prop_recovery_noise_bound(name, rng, entropy_tol):
+def _prop_recovery_noise_bound(rng):
     worst_ratio = 0.0
     worst_err = 0.0
     dims = (2, 3, 4, 5, 6, 2, 3, 4, 5, 6)
@@ -433,21 +409,21 @@ def _prop_recovery_noise_bound(name, rng, entropy_tol):
             try:
                 recovered = np.asarray(recover_spectrum(oracle).values)
             except EntrospecError as exc:
-                return _result(
-                    name, False, float("inf"),
+                return (
+                    False, float("inf"),
                     f"recovery failed under eps={eps:g} noise: {exc}",
                 )
             err = float(np.max(np.abs(recovered - truth)))
             worst_err = max(worst_err, err)
             worst_ratio = max(worst_ratio, err / (1e3 * eps * n))
-    return _result(
-        name, worst_ratio <= 1.0, worst_err,
+    return (
+        worst_ratio <= 1.0, worst_err,
         f"error stays below 1e3 * eps * n for eps in (1e-10, 1e-8); "
         f"worst fraction of the bound {worst_ratio:.3f}",
     )
 
 
-def _prop_recovery_sum_rule(name, rng, entropy_tol):
+def _prop_recovery_sum_rule(rng):
     worst_drift = 0.0
     worst_sum = 0.0
     for _ in range(20):
@@ -456,8 +432,8 @@ def _prop_recovery_sum_rule(name, rng, entropy_tol):
         worst_sum = max(worst_sum, abs(sum(result.values) - 1.0))
         worst_drift = max(worst_drift, result.sum_drift)
     passed = worst_sum <= 1e-12 and worst_drift <= 1e-5
-    return _result(
-        name, passed, worst_drift,
+    return (
+        passed, worst_drift,
         f"renormalized sums exact to {worst_sum:.1e}; pre-renormalization drift bound 1e-5",
     )
 
@@ -466,7 +442,7 @@ def _prop_recovery_sum_rule(name, rng, entropy_tol):
 # cli invariants
 
 
-def _prop_matrix_file_roundtrip(name, rng, entropy_tol):
+def _prop_matrix_file_roundtrip(rng):
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "matrix.json")
@@ -480,10 +456,7 @@ def _prop_matrix_file_roundtrip(name, rng, entropy_tol):
             save_matrix(path, m)
             if not np.array_equal(m, load_matrix(path)):
                 mismatches += 1
-    return _result(
-        name, mismatches == 0, float(mismatches),
-        "50 write-read roundtrips are bit-exact",
-    )
+    return mismatches == 0, float(mismatches), "50 write-read roundtrips are bit-exact"
 
 
 _PROPERTIES = (
@@ -511,15 +484,18 @@ _PROPERTIES = (
 )
 
 
-def run_selftest(
-    seed: int, entropy_tol: float = EquivalenceConfig.entropy_tol
-) -> list[PropertyResult]:
-    """Run every property at the given seed; deterministic per (seed, tol)."""
+def run_selftest(seed: int) -> list[PropertyResult]:
+    """Run every property at the given seed; deterministic per seed."""
     results = []
     for index, (name, prop) in enumerate(_PROPERTIES):
         rng = np.random.default_rng([seed, index])
         try:
-            results.append(prop(name, rng, entropy_tol))
+            passed, residual, detail = prop(rng)
         except EntrospecError as exc:
-            results.append(_result(name, False, float("inf"), f"raised {type(exc).__name__}: {exc}"))
+            passed, residual, detail = False, float("inf"), f"raised {type(exc).__name__}: {exc}"
+        results.append(
+            PropertyResult(
+                name=name, passed=bool(passed), max_residual=float(residual), detail=detail
+            )
+        )
     return results

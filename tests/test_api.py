@@ -3,12 +3,17 @@
 Dropping or adding a name is a deliberate change of this list.
 """
 
+import shlex
 from pathlib import Path
 
+import numpy as np
+
 import entrospec
+from entrospec.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
-    "BadNodeCount",
     "ComplexMatrix",
     "ComplexRoots",
     "DegreeDeficit",
@@ -70,8 +75,28 @@ def test_every_public_name_resolves_from_the_package_root():
 
 
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "equivalent"
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(0)
+    state = entrospec.random_state(3, rng)
+    u = entrospec.random_unitary(3, rng)
+    entrospec.save_matrix(str(tmp_path / "state.json"), state.matrix)
+    entrospec.save_matrix(str(tmp_path / "a.json"), state.matrix)
+    entrospec.save_matrix(str(tmp_path / "b.json"), u @ state.matrix @ u.conj().T)
+    monkeypatch.chdir(tmp_path)
+    lines = block.strip().splitlines()
+    assert lines
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "entrospec"
+        assert main(argv) == 0, line
+    capsys.readouterr()

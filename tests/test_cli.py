@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from entrospec import EquivalenceConfig, random_state, save_matrix
+from entrospec import EquivalenceConfig, random_state, save_matrix, selftest
 from entrospec.cli import main
+from entrospec.equivalence import GRID_LIMIT, GRID_POINTS
 from entrospec.errors import ParseError
 from entrospec.matrixio import load_matrix, parse_matrix_file
 
@@ -149,8 +150,8 @@ class TestEquivCommand:
         assert payload["entropy_tol"] == defaults.entropy_tol
         assert payload["spectrum_tol"] == defaults.spectrum_tol
         nodes = [lam for lam, _ in payload["per_node_gaps"]]
-        assert len(nodes) == defaults.grid_points
-        assert nodes[-1] < defaults.grid_limit
+        assert len(nodes) == GRID_POINTS
+        assert nodes[-1] < GRID_LIMIT
 
     @pytest.mark.parametrize("mode", ["spectral", "t1", "t2"])
     def test_all_modes_agree_on_equivalent_pair(self, tmp_path, capsys, mode):
@@ -178,11 +179,23 @@ class TestEquivCommand:
         assert "entrospec:" in err
 
     def test_wrong_node_count_exits_1(self, tmp_path, capsys):
+        # t2 always tests the 2n nodes i/(2n): --nodes is not an option
         a = write_state(tmp_path, "a.json", np.eye(2) / 2)
-        code, _, _ = run(
+        code, out, err = run(
             capsys, ["equiv", a, a, "--mode", "t2", "--nodes", "0.25", "0.5", "0.75"]
         )
         assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("flag", ["--a", "--points"])
+    def test_grid_flags_exit_1(self, tmp_path, capsys, flag):
+        # t1's grid is fixed: GRID_POINTS weights inside (0, GRID_LIMIT)
+        a = write_state(tmp_path, "a.json", np.eye(2) / 2)
+        code, out, err = run(capsys, ["equiv", a, a, "--mode", "t1", flag, "8"])
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_loose_entropy_tolerance_exits_3(self, tmp_path, capsys):
         # an absurd entropy tolerance passes every gap of distinct spectra;
@@ -260,6 +273,15 @@ class TestRecoverCommand:
         assert code == 0
         assert json.loads(out)["linf_error"] <= 1e-8
 
+    def test_underflowing_difference_step_exits_4(self, tmp_path, capsys):
+        state = write_state(tmp_path, "s.json", np.diag([0.75, 0.25]))
+        code, out, err = run(
+            capsys, ["recover", state, "--derivative", "fd", "--nodes", "5e-324", "0.2", "0.4"]
+        )
+        assert code == 4
+        assert out == ""
+        assert "entrospec:" in err
+
     def test_bad_nodes_exit_1(self, tmp_path, capsys):
         state = write_state(tmp_path, "s.json", np.diag([0.75, 0.25]))
         code, _, _ = run(capsys, ["recover", state, "--nodes", "0.2", "0.2", "0.4"])
@@ -267,20 +289,24 @@ class TestRecoverCommand:
 
 
 class TestSelftestCommand:
-    def test_corrupted_tolerance_exits_5(self, capsys):
-        code, out, err = run(capsys, ["selftest", "--entropy-tol", "1e-30"])
+    def test_failing_property_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            selftest, "_PROPERTIES", (("always-fails", lambda rng: (False, 1.0, "fails")),)
+        )
+        code, out, err = run(capsys, ["selftest"])
         assert code == 5
         payload = json.loads(out)
         assert payload["all_passed"] is False
-        assert payload["entropy_tol"] == 1e-30
-        failing = {p["name"] for p in payload["properties"] if not p["passed"]}
-        assert "equivalent-pairs-all-methods" in failing
-        assert "FAIL" in err
+        assert [p["name"] for p in payload["properties"]] == ["always-fails"]
+        assert "FAIL always-fails" in err
 
     def test_nan_tolerance_exits_1(self, capsys):
-        code, out, _ = run(capsys, ["selftest", "--entropy-tol", "nan"])
+        # --entropy-tol is not a selftest option: every property runs at the
+        # library defaults
+        code, out, err = run(capsys, ["selftest", "--entropy-tol", "nan"])
         assert code == 1
         assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestResolveSeed:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ class TestSampleLog2Determinant:
         oracle = oracle_from_spectrum(diag_state(0.5, 0.5).spectrum)
         with pytest.raises(OracleDomain):
             sample_log2_determinant(oracle, lam)
+
+    def test_underflowing_difference_step_is_out_of_domain(self):
+        # 5e-324 is inside (0, 0.9], but half of it rounds to 0.0, so no
+        # central difference fits between it and 0
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum, include_derivative=False)
+        with pytest.raises(OracleDomain):
+            sample_log2_determinant(oracle, 5e-324)
 
 
 class TestDefaultRecoveryConfig:
@@ -137,6 +145,20 @@ class TestFitDeterminantPolynomial:
         with pytest.raises(IllConditioned) as info:
             fit_determinant_polynomial(corrupt)
         assert info.value.residual > 1e-3
+
+    def test_nonpositive_prediction_is_rejected(self):
+        # a bump on (0.3, 0.4) pulls the fit to -0.148 at the held-out node
+        # 0.35, where the log of the prediction is undefined
+        oracle = EntropyOracle(
+            value_fn=lambda lam: 40.0 if 0.3 < lam < 0.4 else 0.0,
+            derivative_fn=lambda lam: 0.0,
+            dimension=2,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditioned) as info:
+                fit_determinant_polynomial(oracle)
+        assert info.value.residual == math.inf
 
 
 class TestRecoverSpectrum:
