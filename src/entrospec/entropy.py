@@ -35,6 +35,14 @@ def _entropy_bits(w: np.ndarray) -> np.ndarray | float:
     return -(safe * np.log2(safe)).sum(axis=-1) + 0.0
 
 
+def _curve_entropies(lams: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """Entropy in bits at each weight of one shifted spectrum (n,) or a stack (k, n).
+
+    The result has shape ``lams.shape``, then (k,) for a stack. Weights are unchecked.
+    """
+    return _entropy_bits(np.multiply.outer(lams, shifted) + 1.0 / shifted.shape[-1])
+
+
 def entropy_of_spectrum(spectrum: Spectrum) -> float:
     """Entropy -sum x_i log2 x_i of an eigenvalue vector, in bits."""
     return float(_entropy_bits(spectrum.as_array()))
@@ -81,8 +89,7 @@ class EntropyCurve:
         outside = ~((lams >= 0.0) & (lams <= 1.0))
         if outside.any():
             raise LambdaOutOfRange(float(lams[outside][0]), "[0, 1]")
-        u = self.spectrum.shifted()
-        return _entropy_bits(np.multiply.outer(lams, u) + 1.0 / self.dimension)
+        return _curve_entropies(lams, self.spectrum.shifted())
 
     def derivative(self, lam: float) -> float:
         """First derivative: -sum_i u_i log2(lam * u_i + 1/n).
@@ -92,7 +99,7 @@ class EntropyCurve:
         """
         w = self._positive_mixed_eigenvalues(lam, "entropy curve derivative")
         u = self.spectrum.shifted()
-        return float(-np.sum(u * np.log2(w)))
+        return float(-(u * np.log2(w)).sum())
 
     def second_derivative(self, lam: float) -> float:
         """Second derivative: -sum_i u_i^2 / (ln2 * (lam * u_i + 1/n)).
@@ -103,7 +110,7 @@ class EntropyCurve:
             lam, "entropy curve second derivative"
         )
         u = self.spectrum.shifted()
-        return float(-np.sum(u * u / w) / _LN2)
+        return float(-(u * u / w).sum() / _LN2)
 
     def log2_determinant(self, lam: float) -> float:
         """Base-2 log of det of the mixed state, for lam in (0, 1).
@@ -121,7 +128,7 @@ class EntropyCurve:
 
     def _positive_mixed_eigenvalues(self, lam: float, what: str) -> np.ndarray:
         w = self._mixed_eigenvalues(lam)
-        if np.any(w <= 0.0):
+        if (w <= 0.0).any():
             raise SingularEndpoint(lam, what)
         return w
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyCurve, entropy_of_spectrum
+from .entropy import _curve_entropies, entropy_of_spectrum
 from .states import QuantumState, Spectrum, check_same_dimension, validate_state
 
 EQUIVALENT = "equivalent"
@@ -31,6 +31,9 @@ NOT_EQUIVALENT = "not_equivalent"
 
 GRID_LIMIT = 0.9
 GRID_POINTS = 64
+# decide_grid's nodes: GRID_POINTS uniform weights strictly inside (0, GRID_LIMIT)
+_GRID_NODES = GRID_LIMIT * np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
+_GRID_NODES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ def default_nodes(n: int) -> tuple[float, ...]:
 
 def _sorted_distance(spec_a: Spectrum, spec_b: Spectrum) -> float:
     """Largest entrywise gap between two descending spectra."""
-    return float(np.max(np.abs(spec_a.as_array() - spec_b.as_array())))
+    return float(np.abs(spec_a.as_array() - spec_b.as_array()).max())
 
 
 def _decide(
@@ -125,11 +128,11 @@ def _decide(
     if nodes is None:
         max_gap, gaps = 0.0, ()
     else:
-        gap_values = np.abs(
-            EntropyCurve(spec_a).values(nodes) - EntropyCurve(spec_b).values(nodes)
-        )
+        # both curves in one pass: column 0 is rho's, column 1 sigma's
+        curves = _curve_entropies(nodes, np.array((spec_a.shifted(), spec_b.shifted())))
+        gap_values = np.abs(curves[:, 0] - curves[:, 1])
         gaps = tuple(zip(nodes.tolist(), gap_values.tolist()))
-        max_gap = float(np.max(gap_values))
+        max_gap = float(gap_values.max())
         equivalent = equivalent and max_gap <= cfg.entropy_tol
 
     # The witness U = V_rho V_sigma* maps sigma's k-th eigenvector onto
@@ -178,8 +181,7 @@ def decide_grid(
     within spectrum_tol; a witness is then attached.
     """
     check_same_dimension(rho, sigma)
-    nodes = GRID_LIMIT * np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
-    return _decide(rho, sigma, "grid", cfg, nodes)
+    return _decide(rho, sigma, "grid", cfg, _GRID_NODES)
 
 
 def decide_nodes(
@@ -193,7 +195,8 @@ def decide_nodes(
     entropies of the two states as one of its nodes.
     """
     n = check_same_dimension(rho, sigma)
-    return _decide(rho, sigma, "nodes", cfg, np.asarray(default_nodes(n)))
+    # the weights of default_nodes(n), each the correctly rounded i / (2n)
+    return _decide(rho, sigma, "nodes", cfg, np.arange(1, 2 * n + 1) / (2 * n))
 
 
 def equal_entropy_pair(n: int) -> tuple[QuantumState, QuantumState]:

@@ -1,19 +1,17 @@
 """Density matrices, their one checked constructor, and their spectra.
 
 Each state is decomposed once, by LAPACK through ``np.linalg.eigh``, when
-it is constructed (the PSD check reads the eigenvalues). The result is
-cached on the state as ``eigensystem``, and the stored matrix is
-read-only so the cache cannot go stale. ``spectrum``, the clamped and
-renormalized eigenvalues, is built from it once per state; entropies,
-curves, oracles and the deciders all read that one spectrum, and unitary
-witnesses read the eigenvectors.
+it is constructed: the PSD check reads the eigenvalues, and the state
+stores the result as ``eigensystem`` and, clamped and renormalized, as
+``spectrum``. The stored matrix is read-only, so neither can go stale.
+Entropies, curves, oracles and the deciders all read that one spectrum,
+and unitary witnesses read the eigenvectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -55,25 +53,35 @@ class Spectrum:
     """Eigenvalues of a density matrix, sorted descending, summing to 1.
 
     Only finiteness is checked (ValueError), not the order or the sum.
+    The values as a float64 array and their shifts are built once, here,
+    and handed out read-only.
     """
 
     values: tuple[float, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
+    _shifted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, self.values)):
             raise ValueError(f"spectrum values must be finite, got {self.values!r}")
+        array = np.array(self.values, dtype=np.float64)
+        shifted = array - 1.0 / (len(array) or 1)  # `or 1` keeps () constructible
+        array.setflags(write=False)
+        shifted.setflags(write=False)
+        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "_shifted", shifted)
 
     @property
     def dimension(self) -> int:
         return len(self.values)
 
     def shifted(self) -> np.ndarray:
-        """Deviations u_i = x_i - 1/n from the flat spectrum. Sum to 0."""
-        n = self.dimension
-        return np.asarray(self.values, dtype=np.float64) - 1.0 / n
+        """Deviations u_i = x_i - 1/n from the flat spectrum, read-only. Sum to 0."""
+        return self._shifted
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+        """The values as a read-only float64 array."""
+        return self._array
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,12 +92,20 @@ class QuantumState:
     finite entries, Hermiticity, unit trace, positive semidefiniteness;
     every comparison fails on NaN. A matrix within ``HERM_TOL`` of
     Hermitian is symmetrized to M/2 + M^*/2 (halved first, so no finite
-    entry overflows) and stored as a read-only copy, so the eigensystem
-    cached by the PSD check cannot go stale. States compare by identity.
+    entry overflows) and stored as a read-only copy. States compare by
+    identity.
+
+    ``eigensystem`` is the eigenvalues, descending, and their eigenvector
+    columns, both read-only. ``spectrum`` is the eigenvalues clamped to
+    [0, 1], which removes the round-off the PSD check bounded by
+    ``PSD_TOL``, and renormalized by the clamped sum (at least
+    1 - (n+1) * 1e-9) to an exact unit sum; the order stays descending.
     """
 
     matrix: ComplexMatrix = field(repr=False)
     dimension: int = field(init=False)
+    eigensystem: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
@@ -101,49 +117,33 @@ class QuantumState:
 
         half = 0.5 * m
         half_adjoint = half.conj().T
-        herm_residual = 2.0 * float(np.max(np.abs(half - half_adjoint)))
+        herm_residual = 2.0 * float(np.abs(half - half_adjoint).max())
         if not herm_residual <= HERM_TOL:
             raise NotHermitian(herm_residual, HERM_TOL)
         m = half + half_adjoint
 
-        # n finite diagonal entries can still sum past the double range
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = complex(np.trace(m))
-        if not abs(trace - 1.0) <= TRACE_TOL:
-            raise TraceNotOne(trace, TRACE_TOL)
+        # A float sum of the (now real) diagonal overflows without a warning;
+        # the error reports numpy's trace, which sums n >= 4 terms pairwise.
+        if not abs(sum(m.real.diagonal().tolist()) - 1.0) <= TRACE_TOL:
+            with np.errstate(over="ignore", invalid="ignore"):
+                raise TraceNotOne(complex(np.trace(m)), TRACE_TOL)
 
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dimension", m.shape[0])
         try:
-            min_eig = float(self.eigensystem[0][-1])
+            values, vectors = np.linalg.eigh(m)
         except np.linalg.LinAlgError:  # entries near the double range; no state has any
-            min_eig = math.nan
-        if not min_eig >= -PSD_TOL:
-            raise NotPositiveSemidefinite(min_eig, PSD_TOL)
-
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues descending and matching eigenvector columns, read-only."""
-        values, vectors = np.linalg.eigh(self.matrix)
+            raise NotPositiveSemidefinite(math.nan, PSD_TOL) from None
         values, vectors = values[::-1], vectors[:, ::-1]
+        if not values[-1] >= -PSD_TOL:
+            raise NotPositiveSemidefinite(float(values[-1]), PSD_TOL)
         values.setflags(write=False)
         vectors.setflags(write=False)
-        return values, vectors
-
-    @cached_property
-    def spectrum(self) -> Spectrum:
-        """The eigenvalues clamped to [0, 1] and renormalized.
-
-        Clamping removes the tiny negative round-off the PSD check already
-        bounded by ``PSD_TOL``; renormalization by the clamped sum (at least
-        1 - (n+1) * 1e-9 on a checked state) restores an exact unit sum so
-        entropy formulas downstream see a genuine probability vector.
-        Clamping and scaling keep the descending order.
-        """
-        clamped = np.clip(self.eigensystem[0], 0.0, 1.0)
-        clamped = clamped / float(np.sum(clamped))
-        return Spectrum(values=tuple(clamped.tolist()))
+        object.__setattr__(self, "eigensystem", (values, vectors))
+        clamped = values.clip(0.0, 1.0)
+        clamped /= float(clamped.sum())
+        object.__setattr__(self, "spectrum", Spectrum(values=tuple(clamped.tolist())))
 
 
 def validate_state(data) -> QuantumState:

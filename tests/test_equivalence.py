@@ -20,6 +20,7 @@ from entrospec import (
     random_unitary,
     validate_state,
 )
+from entrospec.equivalence import GRID_LIMIT, GRID_POINTS, _GRID_NODES, _decide
 from entrospec.errors import DimensionMismatch
 
 from conftest import conjugate, diag_state
@@ -111,6 +112,12 @@ class TestDecideNodes:
         nodes = default_nodes(3)
         assert nodes == (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6, 1.0)
         assert all(b > a for a, b in zip(nodes, nodes[1:]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 64])
+    def test_tested_weights_are_default_nodes_bitwise(self, n):
+        state = validate_state(np.eye(n) / n)
+        tested = np.array([lam for lam, _ in decide_nodes(state, state).per_node_gaps])
+        assert tested.tobytes() == np.asarray(default_nodes(n)).tobytes()
 
     def test_distinct_pair_flagged(self, rng):
         report = decide_nodes(random_state(3, rng), random_state(3, rng))
@@ -295,11 +302,8 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
 
 
 def test_one_spectrum_read_per_state(rng, monkeypatch):
-    # each state builds its spectrum once; every later decision reuses it
-    rho = random_state(6, rng)
-    sigma = conjugate(rho, random_unitary(6, rng))
-    other = random_state(6, rng)
-
+    # each state builds its spectrum once, when it is constructed; no
+    # decision builds another
     built = []
     post_init = Spectrum.__post_init__
 
@@ -308,9 +312,56 @@ def test_one_spectrum_read_per_state(rng, monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Spectrum, "__post_init__", counting)
+    rho = random_state(6, rng)
+    sigma = conjugate(rho, random_unitary(6, rng))
+    other = random_state(6, rng)
+    assert len(built) == 3
+    assert all(b is s.spectrum for b, s in zip(built, (rho, sigma, other)))
     for decide in (decide_spectral, decide_grid, decide_nodes):
         for pair, equivalent in (((rho, sigma), True), ((rho, other), False)):
             report = decide(*pair)
             assert report.equivalent is equivalent
             assert (report.witness is not None) is equivalent
     assert len(built) == 3
+
+
+def _low_rank_state(n, rank, rng):
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    m = g @ g.conj().T
+    return validate_state(m / np.trace(m).real)
+
+
+def _degenerate_state(n, rng):
+    # two levels, the larger one repeated: (2, 2, ..., 2, 1) / (2n - 1)
+    values = np.full(n, 2.0)
+    values[-1] = 1.0
+    return conjugate(diag_state(*(values / values.sum())), random_unitary(n, rng))
+
+
+def test_grid_nodes_are_a_read_only_constant():
+    expected = np.array([GRID_LIMIT * j / (GRID_POINTS + 1) for j in range(1, GRID_POINTS + 1)])
+    assert _GRID_NODES.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        _GRID_NODES[0] = 0.5
+    state = random_state(3, np.random.default_rng(0))
+    tested = np.array([lam for lam, _ in decide_grid(state, state).per_node_gaps])
+    assert tested.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fused_curve_pass_is_bitwise_two_curve_passes(n, rng):
+    # _decide evaluates both curves in one stacked pass; every gap must be
+    # the bits of the difference of the two separate EntropyCurve passes
+    states = [random_state(n, rng), _degenerate_state(n, rng)]
+    states += [_low_rank_state(n, rank, rng) for rank in (1, 2, 3) if rank <= n]
+    states.append(conjugate(states[0], random_unitary(n, rng)))
+    for nodes in (np.asarray(default_nodes(n)), _GRID_NODES):
+        for a in states:
+            for b in states:
+                report = _decide(a, b, "nodes", EquivalenceConfig(), nodes)
+                expected = np.abs(
+                    EntropyCurve(a.spectrum).values(nodes) - EntropyCurve(b.spectrum).values(nodes)
+                )
+                got = np.array([gap for _, gap in report.per_node_gaps])
+                assert got.tobytes() == expected.tobytes()
+                assert report.max_entropy_gap == expected.max()

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -133,6 +134,50 @@ class TestCheckedConstructor:
             assert main(["entropy", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("entrospec:") and "Traceback" not in err
+
+    def test_trace_error_reads_as_before(self):
+        with pytest.raises(TraceNotOne) as exc:
+            validate_state(np.eye(2))
+        assert str(exc.value) == "trace is (2+0j), differs from 1 by more than 1.0e-09"
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_trace_error_reports_numpys_trace(self, n, rng):
+        # numpy sums n >= 4 entries pairwise, not left to right; the error
+        # reports numpy's value so that its text does not move
+        for _ in range(10):
+            m = np.diag(2.0 * rng.dirichlet(np.ones(n))).astype(np.complex128)
+            with pytest.raises(TraceNotOne) as exc:
+                validate_state(m)
+            assert exc.value.trace == complex(np.trace(m))
+
+    @pytest.mark.parametrize(
+        "name, error, field, value",
+        [
+            ("overflow-trace-zero", TraceNotOne, "trace", 0j),
+            ("overflow-antisymmetric", NotHermitian, "residual", math.inf),
+            ("overflow-trace-sum", TraceNotOne, "trace", complex(math.inf, 0.0)),
+            ("overflow-modulus", NotPositiveSemidefinite, "min_eigenvalue", math.nan),
+            ("eigh-no-convergence", NotPositiveSemidefinite, "min_eigenvalue", math.nan),
+        ],
+    )
+    def test_overflow_is_a_typed_error_without_warning(self, name, error, field, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as exc:
+                QuantumState(_INVALID_MATRICES[name])
+        assert type(exc.value) is error
+        # repr, so that nan matches nan and the printed form is pinned too
+        assert repr(getattr(exc.value, field)) == repr(value)
+
+    def test_failed_eigensolve_is_not_positive_semidefinite(self, monkeypatch):
+        def fails(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NotPositiveSemidefinite) as exc:
+            QuantumState(np.eye(2) / 2)
+        assert math.isnan(exc.value.min_eigenvalue)
+        assert "smallest eigenvalue nan" in str(exc.value)
 
     def test_dimension_comes_from_the_matrix(self):
         state = QuantumState(np.eye(3) / 3)
@@ -388,6 +433,25 @@ def test_spectrum_value_access():
     spectrum = Spectrum(values=(0.75, 0.25))
     assert spectrum.dimension == 2
     np.testing.assert_allclose(spectrum.as_array(), [0.75, 0.25])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_spectrum_arrays_are_built_once_and_read_only(n, rng):
+    values = tuple(random_state(n, rng).spectrum.values)
+    spectrum = Spectrum(values=values)
+    assert spectrum.as_array() is spectrum.as_array()
+    assert spectrum.shifted() is spectrum.shifted()
+    assert spectrum.as_array().tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+    expected_shift = np.asarray(values, dtype=np.float64) - 1.0 / n
+    assert spectrum.shifted().tobytes() == expected_shift.tobytes()
+    for array in (spectrum.as_array(), spectrum.shifted()):
+        assert array.dtype == np.float64
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # the arrays take no part in equality or hashing
+    twin = Spectrum(values=values)
+    assert twin == spectrum and hash(twin) == hash(spectrum)
+    assert repr(spectrum) == f"Spectrum(values={values!r})"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
