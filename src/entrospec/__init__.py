@@ -7,7 +7,6 @@ spectrum from black-box access to that entropy curve.
 """
 
 from .entropy import (
-    DeterminantPolynomial,
     EntropyCurve,
     determinant_polynomial,
     entropy_of_spectrum,
@@ -67,7 +66,6 @@ __all__ = [
     "ComplexMatrix",
     "ComplexRoots",
     "DegreeDeficit",
-    "DeterminantPolynomial",
     "DimensionMismatch",
     "EntropyCurve",
     "EntropyOracle",

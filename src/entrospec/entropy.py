@@ -133,38 +133,21 @@ class EntropyCurve:
         return w
 
 
-@dataclass(frozen=True)
-class DeterminantPolynomial:
-    """det of the depolarized state as a polynomial in the mixing weight.
+def determinant_polynomial(spectrum: Spectrum) -> np.ndarray:
+    """Ascending coefficients of det of the depolarized state, a polynomial in lam.
 
-    Coefficients are ascending. The constant term is (1/n)^n (the
-    determinant of the maximally mixed state) and the leading term is the
-    product of the shifted eigenvalues, which vanishes whenever some
+    Expands prod_i (lam * u_i + 1/n) by convolving the linear factors into
+    a float64 array of length n + 1, in numpy's convention (evaluate with
+    ``np.polynomial.polynomial.polyval``). The constant term is (1/n)^n,
+    the determinant of the maximally mixed state, and the leading term is
+    the product of the shifted eigenvalues, which vanishes whenever some
     eigenvalue equals 1/n.
     """
-
-    coefficients: tuple[float, ...]
-    dimension: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, lam):
-        return np.polynomial.polynomial.polyval(
-            lam, np.asarray(self.coefficients)
-        )
-
-
-def determinant_polynomial(spectrum: Spectrum) -> DeterminantPolynomial:
-    """Expand prod_i (lam * u_i + 1/n) by convolving the linear factors."""
     n = spectrum.dimension
     coeffs = np.array([1.0])
     for u in spectrum.shifted():
         coeffs = np.convolve(coeffs, np.array([1.0 / n, float(u)]))
-    return DeterminantPolynomial(
-        coefficients=tuple(float(c) for c in coeffs), dimension=n
-    )
+    return coeffs
 
 
 def second_derivative_times_determinant(spectrum: Spectrum) -> np.ndarray:

@@ -98,9 +98,9 @@ class EquivalenceReport:
         return out
 
 
-def default_nodes(n: int) -> tuple[float, ...]:
-    """The 2n node set i/(2n), i = 1..2n, of decide_nodes; includes 1.0."""
-    return tuple(i / (2 * n) for i in range(1, 2 * n + 1))
+def default_nodes(n: int) -> np.ndarray:
+    """The 2n weights i/(2n), i = 1..2n, of decide_nodes, as float64; includes 1.0."""
+    return np.arange(1, 2 * n + 1) / (2 * n)
 
 
 def _sorted_distance(spec_a: Spectrum, spec_b: Spectrum) -> float:
@@ -195,8 +195,7 @@ def decide_nodes(
     entropies of the two states as one of its nodes.
     """
     n = check_same_dimension(rho, sigma)
-    # the weights of default_nodes(n), each the correctly rounded i / (2n)
-    return _decide(rho, sigma, "nodes", cfg, np.arange(1, 2 * n + 1) / (2 * n))
+    return _decide(rho, sigma, "nodes", cfg, default_nodes(n))
 
 
 def equal_entropy_pair(n: int) -> tuple[QuantumState, QuantumState]:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropy import DeterminantPolynomial, EntropyCurve
+from .entropy import EntropyCurve
 from .errors import ComplexRoots, DegreeDeficit, IllConditioned, OracleDomain
 from .states import Spectrum
 
@@ -98,10 +98,6 @@ class RecoveredSpectrum:
     trimmed_degree: int
     sum_drift: float
 
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
 
 def sample_log2_determinant(oracle: EntropyOracle, lam: float) -> float:
     """Sample the log2 determinant of the mixed state at one weight.
@@ -131,17 +127,20 @@ def sample_log2_determinant(oracle: EntropyOracle, lam: float) -> float:
 
 def fit_determinant_polynomial(
     oracle: EntropyOracle, nodes: Optional[Sequence[float]] = None
-) -> tuple[DeterminantPolynomial, float]:
+) -> tuple[np.ndarray, float]:
     """Least-squares fit of the degree-n determinant polynomial.
 
-    Evaluates 2**(sampled log2 determinant) at the fitting nodes, solves
-    the Vandermonde least-squares system for coefficients of degree 0..n,
-    then pins the constant coefficient to its analytically known value
-    (1/n)^n. Returns the polynomial and the validation residual: the max
-    log2-determinant mismatch at the held-out VALIDATION_NODES. Raises
-    IllConditioned when that residual exceeds FIT_RESIDUAL_BOUND, which
-    signals a noisy or inconsistent oracle rather than a fixable fit, when
-    2**sample overflows, and when a fitted coefficient is not finite.
+    Reads the oracle in one pass: the fitting nodes, then the held-out
+    VALIDATION_NODES. Evaluates 2**(sampled log2 determinant) at the
+    fitting nodes, solves the Vandermonde least-squares system for the
+    ascending coefficients of degree 0..n, then pins the constant
+    coefficient to its analytically known value (1/n)^n. Returns the
+    coefficient array and the validation residual: the max log2-determinant
+    mismatch at the held-out nodes, inf if a prediction there is not
+    positive. Raises IllConditioned when that residual exceeds
+    FIT_RESIDUAL_BOUND, which signals a noisy or inconsistent oracle rather
+    than a fixable fit, when 2**sample overflows, and when a fitted
+    coefficient is not finite.
     """
     n = oracle.dimension
     # default: n + 5 Chebyshev nodes, which keep the Vandermonde system well
@@ -156,9 +155,11 @@ def fit_determinant_polynomial(
             f"got {len(nodes)}"
         )
 
+    log2_dets = [
+        sample_log2_determinant(oracle, float(lam)) for lam in (*nodes, *VALIDATION_NODES)
+    ]
     samples = np.empty(len(nodes))
-    for i, lam in enumerate(nodes):
-        log2_det = sample_log2_determinant(oracle, float(lam))
+    for i, log2_det in enumerate(log2_dets[: len(nodes)]):
         try:
             samples[i] = 2.0 ** log2_det
         except OverflowError:  # no state's sample does: its log2 det is <= 0
@@ -169,21 +170,14 @@ def fit_determinant_polynomial(
         raise IllConditioned(math.inf, FIT_RESIDUAL_BOUND)
     coeffs[0] = (1.0 / n) ** n
 
-    poly = DeterminantPolynomial(
-        coefficients=tuple(float(c) for c in coeffs), dimension=n
-    )
-
-    residual = 0.0
-    for lam in VALIDATION_NODES:
-        predicted = float(poly(lam))
-        if not predicted > 0.0:
-            residual = math.inf
-            break
-        observed = sample_log2_determinant(oracle, lam)
-        residual = max(residual, abs(float(np.log2(predicted)) - observed))
+    predicted = np.polynomial.polynomial.polyval(VALIDATION_NODES, coeffs)
+    residual = math.inf
+    if np.all(predicted > 0.0):
+        observed = log2_dets[len(nodes):]
+        residual = float(np.max(np.abs(np.log2(predicted) - observed)))
     if not residual <= FIT_RESIDUAL_BOUND:
         raise IllConditioned(residual, FIT_RESIDUAL_BOUND)
-    return poly, residual
+    return coeffs, residual
 
 
 def recover_spectrum(
@@ -201,15 +195,11 @@ def recover_spectrum(
     and renormalized to unit sum.
     """
     n = oracle.dimension
-    poly, residual = fit_determinant_polynomial(oracle, nodes)
-    coeffs = np.asarray(poly.coefficients)
-
-    threshold = COEFF_TRIM_TOL * float(np.max(np.abs(coeffs)))
-    effective_degree = 0
-    for k in range(n, -1, -1):
-        if abs(coeffs[k]) > threshold:
-            effective_degree = k
-            break
+    coeffs, residual = fit_determinant_polynomial(oracle, nodes)
+    kept = np.polynomial.polynomial.polytrim(
+        coeffs, COEFF_TRIM_TOL * float(np.max(np.abs(coeffs)))
+    )
+    effective_degree = len(kept) - 1
     trimmed = n - effective_degree
 
     if effective_degree == 0:
@@ -217,7 +207,7 @@ def recover_spectrum(
     else:
         # the leading coefficient is nonzero, so there are exactly
         # effective_degree roots
-        roots = np.polynomial.polynomial.polyroots(coeffs[: effective_degree + 1])
+        roots = np.polynomial.polynomial.polyroots(kept)
         max_imag = float(np.max(np.abs(roots.imag)))
         if max_imag > ROOT_IMAG_TOL:
             raise ComplexRoots(max_imag, ROOT_IMAG_TOL)

@@ -201,16 +201,14 @@ def _prop_product_degree_bound(rng):
             spec_a = random_state(n, rng).spectrum
             spec_b = random_state(n, rng).spectrum
             curve_a, curve_b = EntropyCurve(spec_a), EntropyCurve(spec_b)
-            poly_a, poly_b = determinant_polynomial(spec_a), determinant_polynomial(spec_b)
+            det_a, det_b = determinant_polynomial(spec_a), determinant_polynomial(spec_b)
             ts = np.asarray(_chebyshev_nodes(2 * n + 3, 0.05, 0.95))
-            y = np.array(
-                [
-                    (curve_a.second_derivative(float(t)) - curve_b.second_derivative(float(t)))
-                    * float(poly_a(float(t)))
-                    * float(poly_b(float(t)))
-                    for t in ts
-                ]
+            gaps = np.array(
+                [curve_a.second_derivative(float(t)) - curve_b.second_derivative(float(t))
+                 for t in ts]
             )
+            polyval = np.polynomial.polynomial.polyval
+            y = gaps * polyval(ts, det_a) * polyval(ts, det_b)
             scale = max(float(np.max(np.abs(y))), 1e-300)
             vander = np.polynomial.polynomial.polyvander(ts, 2 * n - 2)
             coeffs, _, _, _ = np.linalg.lstsq(vander, y, rcond=None)

@@ -52,9 +52,9 @@ def as_complex_matrix(data) -> ComplexMatrix:
 class Spectrum:
     """Eigenvalues of a density matrix, sorted descending, summing to 1.
 
-    Only finiteness is checked (ValueError), not the order or the sum.
-    The values as a float64 array and their shifts are built once, here,
-    and handed out read-only.
+    Only non-emptiness and finiteness are checked (ValueError), not the
+    order or the sum. The values as a float64 array and their shifts are
+    built once, here, and handed out read-only.
     """
 
     values: tuple[float, ...]
@@ -62,10 +62,12 @@ class Spectrum:
     _shifted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.values:
+            raise ValueError("spectrum must have at least one value")
         if not all(map(math.isfinite, self.values)):
             raise ValueError(f"spectrum values must be finite, got {self.values!r}")
         array = np.array(self.values, dtype=np.float64)
-        shifted = array - 1.0 / (len(array) or 1)  # `or 1` keeps () constructible
+        shifted = array - 1.0 / len(array)
         array.setflags(write=False)
         shifted.setflags(write=False)
         object.__setattr__(self, "_array", array)

@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "ComplexMatrix",
     "ComplexRoots",
     "DegreeDeficit",
-    "DeterminantPolynomial",
     "DimensionMismatch",
     "EntropyCurve",
     "EntropyOracle",

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 import pytest
 
 from entrospec import (
@@ -230,45 +231,41 @@ class TestLog2Determinant:
 
 class TestDeterminantPolynomial:
     def test_maximal_mixed_is_constant(self):
-        poly = determinant_polynomial(Spectrum(values=(1.0 / 3.0,) * 3))
-        np.testing.assert_allclose(
-            poly.coefficients, [1.0 / 27.0, 0.0, 0.0, 0.0], atol=1e-17
-        )
+        coeffs = determinant_polynomial(Spectrum(values=(1.0 / 3.0,) * 3))
+        np.testing.assert_allclose(coeffs, [1.0 / 27.0, 0.0, 0.0, 0.0], atol=1e-17)
 
     def test_hand_expansion(self):
-        poly = determinant_polynomial(Spectrum(values=(0.75, 0.25)))
-        np.testing.assert_allclose(poly.coefficients, [0.25, 0.0, -0.0625], atol=1e-15)
+        coeffs = determinant_polynomial(Spectrum(values=(0.75, 0.25)))
+        np.testing.assert_allclose(coeffs, [0.25, 0.0, -0.0625], atol=1e-15)
 
     def test_constant_coefficient(self, rng):
         for n in (2, 4, 6):
             spectrum = random_state(n, rng).spectrum
-            poly = determinant_polynomial(spectrum)
-            assert poly.coefficients[0] == pytest.approx((1.0 / n) ** n, rel=1e-12)
+            coeffs = determinant_polynomial(spectrum)
+            assert coeffs[0] == pytest.approx((1.0 / n) ** n, rel=1e-12)
 
     def test_leading_coefficient_is_shift_product(self, rng):
         spectrum = random_state(5, rng).spectrum
-        poly = determinant_polynomial(spectrum)
-        assert poly.coefficients[-1] == pytest.approx(
-            float(np.prod(spectrum.shifted())), rel=1e-10
-        )
+        coeffs = determinant_polynomial(spectrum)
+        assert coeffs[-1] == pytest.approx(float(np.prod(spectrum.shifted())), rel=1e-10)
 
     def test_positive_below_weight_one(self, rng):
         spectrum = random_state(4, rng).spectrum
-        poly = determinant_polynomial(spectrum)
-        for lam in np.linspace(0.0, 0.999, 25):
-            assert float(poly(float(lam))) > 0.0
+        coeffs = determinant_polynomial(spectrum)
+        assert np.all(polyval(np.linspace(0.0, 0.999, 25), coeffs) > 0.0)
 
     def test_evaluation_matches_log_identity(self, rng):
         spectrum = random_state(4, rng).spectrum
-        poly = determinant_polynomial(spectrum)
+        coeffs = determinant_polynomial(spectrum)
         curve = EntropyCurve(spectrum)
         for lam in rng.uniform(0.05, 0.95, size=20):
             lam = float(lam)
-            assert abs(float(poly(lam)) - 2.0 ** curve.log2_determinant(lam)) <= 1e-9
+            assert abs(float(polyval(lam, coeffs)) - 2.0 ** curve.log2_determinant(lam)) <= 1e-9
 
     def test_degree(self):
-        poly = determinant_polynomial(Spectrum(values=(0.6, 0.3, 0.1)))
-        assert poly.degree == 3
+        coeffs = determinant_polynomial(Spectrum(values=(0.6, 0.3, 0.1)))
+        assert coeffs.shape == (4,)
+        assert coeffs.dtype == np.float64
 
 
 class TestSecondDerivativeTimesDeterminant:
@@ -284,8 +281,8 @@ class TestSecondDerivativeTimesDeterminant:
         spectrum = random_state(5, rng).spectrum
         coeffs = second_derivative_times_determinant(spectrum)
         curve = EntropyCurve(spectrum)
-        poly = determinant_polynomial(spectrum)
+        det = determinant_polynomial(spectrum)
         for lam in (0.15, 0.45, 0.85):
-            direct = curve.second_derivative(lam) * float(poly(lam))
-            fitted = float(np.polynomial.polynomial.polyval(lam, coeffs))
+            direct = curve.second_derivative(lam) * float(polyval(lam, det))
+            fitted = float(polyval(lam, coeffs))
             assert abs(direct - fitted) <= 1e-12

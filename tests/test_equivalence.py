@@ -105,19 +105,23 @@ class TestDecideNodes:
         report = decide_nodes(state, rotated)
         assert report.equivalent
         assert report.method == "nodes"
-        assert tuple(lam for lam, _ in report.per_node_gaps) == default_nodes(3)
+        assert [lam for lam, _ in report.per_node_gaps] == default_nodes(3).tolist()
         assert max(gap for _, gap in report.per_node_gaps) <= 1e-12
 
     def test_default_nodes_shape(self):
         nodes = default_nodes(3)
-        assert nodes == (1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6, 1.0)
-        assert all(b > a for a, b in zip(nodes, nodes[1:]))
+        assert nodes.dtype == np.float64
+        assert nodes.tolist() == [1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6, 1.0]
+        assert np.all(np.diff(nodes) > 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 64])
     def test_tested_weights_are_default_nodes_bitwise(self, n):
+        # each weight is the correctly rounded i / (2n), the same bits as
+        # Python's true division
         state = validate_state(np.eye(n) / n)
         tested = np.array([lam for lam, _ in decide_nodes(state, state).per_node_gaps])
-        assert tested.tobytes() == np.asarray(default_nodes(n)).tobytes()
+        rounded = np.array([i / (2 * n) for i in range(1, 2 * n + 1)])
+        assert tested.tobytes() == default_nodes(n).tobytes() == rounded.tobytes()
 
     def test_distinct_pair_flagged(self, rng):
         report = decide_nodes(random_state(3, rng), random_state(3, rng))
@@ -355,7 +359,7 @@ def test_fused_curve_pass_is_bitwise_two_curve_passes(n, rng):
     states = [random_state(n, rng), _degenerate_state(n, rng)]
     states += [_low_rank_state(n, rank, rng) for rank in (1, 2, 3) if rank <= n]
     states.append(conjugate(states[0], random_unitary(n, rng)))
-    for nodes in (np.asarray(default_nodes(n)), _GRID_NODES):
+    for nodes in (default_nodes(n), _GRID_NODES):
         for a in states:
             for b in states:
                 report = _decide(a, b, "nodes", EquivalenceConfig(), nodes)

@@ -101,29 +101,28 @@ class TestRecoveryConfigValidation:
 class TestFitDeterminantPolynomial:
     def test_maximally_mixed_fits_constant(self):
         oracle = oracle_from_spectrum(diag_state(*[0.25] * 4).spectrum)
-        poly, residual = fit_determinant_polynomial(oracle)
-        assert poly.coefficients[0] == (1.0 / 4.0) ** 4
-        assert max(abs(c) for c in poly.coefficients[1:]) <= 1e-9
+        coeffs, residual = fit_determinant_polynomial(oracle)
+        assert coeffs[0] == (1.0 / 4.0) ** 4
+        assert np.max(np.abs(coeffs[1:])) <= 1e-9
         assert residual <= 1e-9
 
     def test_hand_expanded_coefficients(self):
         oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
-        poly, _ = fit_determinant_polynomial(oracle)
-        np.testing.assert_allclose(poly.coefficients, (0.25, 0.0, -0.0625), atol=1e-8)
+        coeffs, _ = fit_determinant_polynomial(oracle)
+        np.testing.assert_allclose(coeffs, (0.25, 0.0, -0.0625), atol=1e-8)
 
     def test_constant_coefficient_is_pinned(self, rng):
         state = random_state(5, rng)
-        poly, _ = fit_determinant_polynomial(oracle_from_spectrum(state.spectrum))
-        assert poly.coefficients[0] == (1.0 / 5.0) ** 5
+        coeffs, _ = fit_determinant_polynomial(oracle_from_spectrum(state.spectrum))
+        assert coeffs[0] == (1.0 / 5.0) ** 5
 
     def test_roundtrip_against_direct_expansion(self, rng):
         for n in range(2, 7):
             spectrum = random_state(n, rng).spectrum
             direct = determinant_polynomial(spectrum)
             fitted, residual = fit_determinant_polynomial(oracle_from_spectrum(spectrum))
-            np.testing.assert_allclose(
-                fitted.coefficients, direct.coefficients, atol=1e-8
-            )
+            assert fitted.shape == direct.shape == (n + 1,)
+            np.testing.assert_allclose(fitted, direct, atol=1e-8)
             assert residual <= 1e-8
 
     def test_requires_enough_nodes(self):
@@ -159,6 +158,43 @@ class TestFitDeterminantPolynomial:
             with pytest.raises(IllConditioned) as info:
                 fit_determinant_polynomial(oracle)
         assert info.value.residual == math.inf
+
+
+class TestOneOraclePass:
+    """The fit reads the oracle once: every fitting node, then the held-out nodes."""
+
+    NODES = (0.8, 0.2, 0.6, 0.4, 0.9)
+
+    @pytest.mark.parametrize("include_derivative", [True, False])
+    def test_query_order(self, include_derivative):
+        base = oracle_from_spectrum(diag_state(0.4, 0.3, 0.2, 0.1).spectrum, include_derivative)
+        queried = []
+
+        def value(lam):
+            queried.append(lam)
+            return base.value_fn(lam)
+
+        oracle = EntropyOracle(value, base.derivative_fn, 4)
+        fit_determinant_polynomial(oracle, self.NODES)
+        # a finite-difference sample reads lam + h, lam - h, then lam itself
+        step = 1 if include_derivative else 3
+        assert len(queried) == step * (len(self.NODES) + len(VALIDATION_NODES))
+        assert tuple(queried[step - 1::step]) == self.NODES + VALIDATION_NODES
+
+    def test_nonpositive_prediction_still_reads_every_held_out_node(self):
+        # the bump oracle of test_nonpositive_prediction_is_rejected: its fit
+        # is negative at 0.35, and the nodes after it are read all the same
+        queried = []
+
+        def value(lam):
+            queried.append(lam)
+            return 40.0 if 0.3 < lam < 0.4 else 0.0
+
+        with pytest.raises(IllConditioned) as info:
+            fit_determinant_polynomial(EntropyOracle(value, lambda lam: 0.0, 2))
+        assert info.value.residual == math.inf
+        assert tuple(queried[-len(VALIDATION_NODES):]) == VALIDATION_NODES
+        assert all(queried.count(lam) == 1 for lam in VALIDATION_NODES)
 
 
 class TestRecoverSpectrum:

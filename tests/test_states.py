@@ -458,3 +458,9 @@ def test_spectrum_arrays_are_built_once_and_read_only(n, rng):
 def test_spectrum_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
         Spectrum(values=(bad, 1.0))
+
+
+def test_spectrum_rejects_empty_values():
+    # unchecked, the flat-spectrum shift divides by zero in every curve
+    with pytest.raises(ValueError, match="at least one value"):
+        Spectrum(values=())
