@@ -51,6 +51,10 @@ EXIT_SELFTEST = 5
 
 _RECOVERY_ERRORS = (OracleDomain, IllConditioned, ComplexRoots, DegreeDeficit)
 
+# the curve command's fixed grid: CURVE_POINTS weights from 0 to CURVE_LIMIT
+CURVE_LIMIT = 0.9
+CURVE_POINTS = 64
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ParseError (exit code 1)."""
@@ -68,9 +72,6 @@ def _build_parser() -> _Parser:
 
     p_curve = sub.add_parser("curve", help="entropy curve CSV along the mixing line")
     p_curve.add_argument("state_file")
-    p_curve.add_argument("--a", type=float, default=0.9,
-                         help="upper end of the sampled interval, in (0, 1]")
-    p_curve.add_argument("--points", type=int, default=64)
     p_curve.add_argument("--out", required=True, help="output CSV path")
 
     p_equiv = sub.add_parser("equiv", help="decide unitary equivalence of two states")
@@ -86,8 +87,6 @@ def _build_parser() -> _Parser:
     p_recover = sub.add_parser("recover", help="recover the spectrum from entropy values")
     p_recover.add_argument("state_file")
     p_recover.add_argument("--derivative", choices=("analytic", "fd"), default="analytic")
-    p_recover.add_argument("--nodes", type=float, nargs="+",
-                           help="fitting nodes; default is Chebyshev-spaced")
 
     p_selftest = sub.add_parser("selftest", help="run the built-in invariant suite")
     p_selftest.add_argument("--seed", type=int, default=42, help="RNG seed")
@@ -116,46 +115,28 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _csv_cell(value: Optional[float]) -> str:
-    return "" if value is None else repr(value)
-
-
 def _cmd_curve(args: argparse.Namespace) -> int:
-    if not 0.0 < args.a <= 1.0:
-        raise ParseError(f"--a must be in (0, 1], got {args.a}")
-    if args.points < 2:
-        raise ParseError(f"--points must be >= 2, got {args.points}")
     state = _load_state(args.state_file)
     curve = EntropyCurve(state.spectrum)
 
+    # every weight is at most CURVE_LIMIT < 1, where each mixed eigenvalue is
+    # at least (1 - CURVE_LIMIT) / n, so the derivative is always defined
     rows = []
-    for j in range(args.points):
-        lam = args.a * j / (args.points - 1)
-        entropy = curve.value(lam)
-        try:
-            derivative: Optional[float] = curve.derivative(lam)
-        except EntrospecError:
-            derivative = None
-        log2_det: Optional[float] = (
-            curve.log2_determinant(lam) if 0.0 < lam < 1.0 else None
-        )
-        rows.append((lam, entropy, derivative, log2_det))
+    for j in range(CURVE_POINTS):
+        lam = CURVE_LIMIT * j / (CURVE_POINTS - 1)
+        log2_det = repr(curve.log2_determinant(lam)) if lam > 0.0 else ""
+        rows.append((repr(lam), repr(curve.value(lam)), repr(curve.derivative(lam)), log2_det))
 
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("lambda,entropy_bits,f_prime,log2_p\n")
-        for lam, entropy, derivative, log2_det in rows:
-            handle.write(
-                ",".join(
-                    (repr(lam), repr(entropy), _csv_cell(derivative), _csv_cell(log2_det))
-                )
-                + "\n"
-            )
+        for row in rows:
+            handle.write(",".join(row) + "\n")
 
     _emit(
         {
             "n": state.dimension,
-            "points": args.points,
-            "a": args.a,
+            "points": CURVE_POINTS,
+            "a": CURVE_LIMIT,
             "out": args.out,
         }
     )
@@ -181,7 +162,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     n = state.dimension
     truth = state.spectrum
     oracle = oracle_from_spectrum(truth, include_derivative=args.derivative == "analytic")
-    result = recover_spectrum(oracle, args.nodes)
+    result = recover_spectrum(oracle)
     error = float(
         np.max(np.abs(np.asarray(result.values) - truth.as_array()))
     )

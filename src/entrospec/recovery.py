@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,24 +62,21 @@ def oracle_from_spectrum(
     )
 
 
-def _chebyshev_nodes(count: int, low: float, high: float) -> tuple[float, ...]:
+def _chebyshev_nodes(count: int, low: float, high: float) -> np.ndarray:
     """Chebyshev points mapped to [low, high], sorted ascending."""
     k = np.arange(1, count + 1)
     x = np.cos((2 * k - 1) * np.pi / (2 * count))
-    mapped = 0.5 * (low + high) + 0.5 * (high - low) * x
-    return tuple(float(v) for v in np.sort(mapped))
+    return np.sort(0.5 * (low + high) + 0.5 * (high - low) * x)
 
 
-def _checked_nodes(nodes) -> tuple[float, ...]:
-    """Fitting nodes as floats: non-empty, distinct, all in (0, LAMBDA_MAX]."""
-    values = tuple(float(x) for x in nodes)
-    if not values:
-        raise ValueError("nodes must not be empty")
-    if len(set(values)) != len(values):
-        raise ValueError("nodes must be distinct")
-    if any(not 0.0 < x <= LAMBDA_MAX for x in values):
-        raise ValueError(f"nodes must lie in (0, {LAMBDA_MAX}], got {values}")
-    return values
+def _fitting_nodes(n: int) -> np.ndarray:
+    """The n + 5 Chebyshev nodes on [0.1, LAMBDA_MAX] that the fit samples.
+
+    They keep the Vandermonde system well conditioned, clear of the
+    removable singularity at 0 and of weight 1, where the determinant
+    vanishes for rank-deficient states.
+    """
+    return _chebyshev_nodes(n + 5, 0.1, LAMBDA_MAX)
 
 
 @dataclass(frozen=True)
@@ -125,14 +122,12 @@ def sample_log2_determinant(oracle: EntropyOracle, lam: float) -> float:
     return log2_det
 
 
-def fit_determinant_polynomial(
-    oracle: EntropyOracle, nodes: Optional[Sequence[float]] = None
-) -> tuple[np.ndarray, float]:
+def fit_determinant_polynomial(oracle: EntropyOracle) -> tuple[np.ndarray, float]:
     """Least-squares fit of the degree-n determinant polynomial.
 
-    Reads the oracle in one pass: the fitting nodes, then the held-out
-    VALIDATION_NODES. Evaluates 2**(sampled log2 determinant) at the
-    fitting nodes, solves the Vandermonde least-squares system for the
+    Reads the oracle in one pass: the n + 5 fitting nodes, then the
+    held-out VALIDATION_NODES. Evaluates 2**(sampled log2 determinant) at
+    the fitting nodes, solves the Vandermonde least-squares system for the
     ascending coefficients of degree 0..n, then pins the constant
     coefficient to its analytically known value (1/n)^n. Returns the
     coefficient array and the validation residual: the max log2-determinant
@@ -143,17 +138,7 @@ def fit_determinant_polynomial(
     coefficient is not finite.
     """
     n = oracle.dimension
-    # default: n + 5 Chebyshev nodes, which keep the Vandermonde system well
-    # conditioned, clear of the removable singularity at 0 and of weight 1,
-    # where the determinant vanishes for rank-deficient states
-    nodes = np.asarray(
-        _chebyshev_nodes(n + 5, 0.1, LAMBDA_MAX) if nodes is None else _checked_nodes(nodes)
-    )
-    if len(nodes) < n + 1:
-        raise ValueError(
-            f"need at least {n + 1} fitting nodes for dimension {n}, "
-            f"got {len(nodes)}"
-        )
+    nodes = _fitting_nodes(n)
 
     log2_dets = [
         sample_log2_determinant(oracle, float(lam)) for lam in (*nodes, *VALIDATION_NODES)
@@ -180,22 +165,19 @@ def fit_determinant_polynomial(
     return coeffs, residual
 
 
-def recover_spectrum(
-    oracle: EntropyOracle, nodes: Optional[Sequence[float]] = None
-) -> RecoveredSpectrum:
+def recover_spectrum(oracle: EntropyOracle) -> RecoveredSpectrum:
     """Reconstruct the full sorted spectrum from the entropy oracle.
 
-    Fits the determinant polynomial at ``nodes`` (default: see
-    fit_determinant_polynomial), trims trailing coefficients below
-    COEFF_TRIM_TOL relative to the largest one (each trimmed degree is an
-    eigenvalue exactly 1/n: a zero shift makes its factor the constant
-    1/n, lowering the polynomial degree), roots the remainder via the
-    companion matrix, and maps every root r to the eigenvalue
-    1/n - 1/(n r). The values are clamped to [0, 1], sorted descending,
-    and renormalized to unit sum.
+    Fits the determinant polynomial (see fit_determinant_polynomial),
+    trims trailing coefficients below COEFF_TRIM_TOL relative to the
+    largest one (each trimmed degree is an eigenvalue exactly 1/n: a zero
+    shift makes its factor the constant 1/n, lowering the polynomial
+    degree), roots the remainder via the companion matrix, and maps every
+    root r to the eigenvalue 1/n - 1/(n r). The values are clamped to
+    [0, 1], sorted descending, and renormalized to unit sum.
     """
     n = oracle.dimension
-    coeffs, residual = fit_determinant_polynomial(oracle, nodes)
+    coeffs, residual = fit_determinant_polynomial(oracle)
     kept = np.polynomial.polynomial.polytrim(
         coeffs, COEFF_TRIM_TOL * float(np.max(np.abs(coeffs)))
     )

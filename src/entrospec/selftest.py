@@ -33,13 +33,16 @@ from .equivalence import (
 from .errors import EntrospecError
 from .matrixio import load_matrix, save_matrix
 from .recovery import (
+    LAMBDA_MAX,
     EntropyOracle,
     _chebyshev_nodes,
+    _fitting_nodes,
     oracle_from_spectrum,
     recover_spectrum,
 )
 from .states import (
     QuantumState,
+    Spectrum,
     depolarize,
     random_state,
     random_unitary,
@@ -395,6 +398,29 @@ def _noisy_oracle(state: QuantumState, eps: float, rng: np.random.Generator) -> 
     )
 
 
+def _noise_gain(spectrum: Spectrum) -> float:
+    """Infinity norm of d(recovered spectrum)/d(fitting samples) at the true spectrum.
+
+    First-order chain through recover_spectrum: the least-squares fit of
+    2**s with the constant coefficient pinned, each root r = -1/(n u) moved
+    by -dp(r)/p'(r), each eigenvalue 1/n - 1/(n r) by dr/(n r^2), then the
+    renormalization to unit sum. No eigenvalue may equal 1/n.
+    """
+    n = spectrum.dimension
+    poly = np.polynomial.polynomial
+    nodes = _fitting_nodes(n)
+    det = determinant_polynomial(spectrum)
+    d_samples = poly.polyval(nodes, det) * np.log(2.0)
+    d_coeffs = np.linalg.pinv(poly.polyvander(nodes, n)) * d_samples
+    d_coeffs[0] = 0.0
+    roots = -1.0 / (n * spectrum.shifted())
+    slopes = poly.polyval(roots, poly.polyder(det))
+    d_roots = -(poly.polyvander(roots, n) @ d_coeffs) / slopes[:, None]
+    d_values = d_roots / (n * roots * roots)[:, None]
+    d_values -= np.outer(spectrum.as_array(), d_values.sum(axis=0))
+    return float(np.max(np.abs(d_values).sum(axis=1)))
+
+
 def _prop_recovery_noise_bound(rng):
     worst_ratio = 0.0
     worst_err = 0.0
@@ -412,11 +438,15 @@ def _prop_recovery_noise_bound(rng):
                     f"recovery failed under eps={eps:g} noise: {exc}",
                 )
             err = float(np.max(np.abs(recovered - truth)))
+            # noise eps on S and on S' moves each sample n (lam S' - S) by
+            # at most n (1 + lam) eps
+            bound = _noise_gain(state.spectrum) * n * (1.0 + LAMBDA_MAX) * eps
             worst_err = max(worst_err, err)
-            worst_ratio = max(worst_ratio, err / (1e3 * eps * n))
+            worst_ratio = max(worst_ratio, err / bound)
     return (
         worst_ratio <= 1.0, worst_err,
-        f"error stays below 1e3 * eps * n for eps in (1e-10, 1e-8); "
+        f"error stays below ||A||inf * n(1 + {LAMBDA_MAX}) * eps, A the first-order "
+        f"gain from fitting samples to spectrum, for eps in (1e-10, 1e-8); "
         f"worst fraction of the bound {worst_ratio:.3f}",
     )
 
@@ -483,7 +513,13 @@ _PROPERTIES = (
 
 
 def run_selftest(seed: int) -> list[PropertyResult]:
-    """Run every property at the given seed; deterministic per seed."""
+    """Run every property at the given seed; deterministic per seed.
+
+    The seed must be a non-negative int (not a bool); anything else raises
+    ValueError before any property runs.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     results = []
     for index, (name, prop) in enumerate(_PROPERTIES):
         rng = np.random.default_rng([seed, index])

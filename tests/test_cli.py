@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entrospec import EquivalenceConfig, random_state, save_matrix, selftest
-from entrospec.cli import main
+from entrospec.cli import CURVE_LIMIT, CURVE_POINTS, main
 from entrospec.equivalence import GRID_LIMIT, GRID_POINTS
 from entrospec.errors import ParseError
 from entrospec.matrixio import load_matrix, parse_matrix_file
@@ -71,19 +71,19 @@ class TestCurveCommand:
     def test_csv_layout(self, tmp_path, capsys):
         state = write_state(tmp_path, "s.json", np.diag([0.75, 0.25]))
         out_csv = str(tmp_path / "curve.csv")
-        code, out, _ = run(
-            capsys, ["curve", state, "--a", "0.8", "--points", "5", "--out", out_csv]
-        )
+        code, out, _ = run(capsys, ["curve", state, "--out", out_csv])
         assert code == 0
         summary = json.loads(out)
-        assert summary == {"n": 2, "points": 5, "a": 0.8, "out": out_csv}
+        assert summary == {"n": 2, "points": CURVE_POINTS, "a": CURVE_LIMIT, "out": out_csv}
+        assert (CURVE_POINTS, CURVE_LIMIT) == (64, 0.9)
 
         header, rows = read_csv(out_csv)
         assert header == "lambda,entropy_bits,f_prime,log2_p"
-        assert len(rows) == 5
-        assert float(rows[0][0]) == 0.0
-        assert float(rows[-1][0]) == 0.8
-        # log2_p is only defined strictly between the endpoints
+        assert len(rows) == CURVE_POINTS
+        lams = [float(row[0]) for row in rows]
+        assert lams == [CURVE_LIMIT * j / (CURVE_POINTS - 1) for j in range(CURVE_POINTS)]
+        assert lams[0] == 0.0 and lams[-1] == CURVE_LIMIT
+        # log2_p is only defined for a positive weight
         assert rows[0][3] == ""
         assert all(row[3] != "" for row in rows[1:])
         # mixing toward I/n can only raise entropy, so the column decreases
@@ -91,32 +91,37 @@ class TestCurveCommand:
         assert all(a >= b - 1e-12 for a, b in zip(entropies, entropies[1:]))
         assert all(row[2] != "" for row in rows)
 
-    def test_rank_deficient_state_blanks_endpoint(self, tmp_path, capsys):
-        state = write_state(tmp_path, "pure.json", np.diag([1.0, 0.0]))
+    def test_pure_state_has_every_derivative(self, tmp_path, capsys):
+        # at weight <= CURVE_LIMIT every mixed eigenvalue is at least
+        # (1 - CURVE_LIMIT) / n, so even a pure state's derivative is finite
+        state = write_state(tmp_path, "pure.json", np.diag([1.0, 0.0, 0.0]))
         out_csv = str(tmp_path / "curve.csv")
-        code, _, _ = run(
-            capsys, ["curve", state, "--a", "1.0", "--points", "3", "--out", out_csv]
-        )
+        code, _, _ = run(capsys, ["curve", state, "--out", out_csv])
         assert code == 0
         _, rows = read_csv(out_csv)
-        assert float(rows[-1][0]) == 1.0
-        assert rows[-1][2] == "" and rows[-1][3] == ""
-        assert rows[1][2] != ""
+        assert len(rows) == CURVE_POINTS
+        assert all(math.isfinite(float(row[2])) for row in rows)
+        assert rows[0][3] == ""
+        assert all(math.isfinite(float(row[3])) for row in rows[1:])
 
     def test_maximally_mixed_curve_is_flat(self, tmp_path, capsys):
         state = write_state(tmp_path, "mixed.json", np.eye(2) / 2)
         out_csv = str(tmp_path / "curve.csv")
-        code, _, _ = run(capsys, ["curve", state, "--points", "4", "--out", out_csv])
+        code, _, _ = run(capsys, ["curve", state, "--out", out_csv])
         assert code == 0
         _, rows = read_csv(out_csv)
+        assert len(rows) == CURVE_POINTS
         assert all(abs(float(row[1]) - 1.0) <= 1e-15 for row in rows)
 
     @pytest.mark.parametrize("flags", [["--a", "0.0"], ["--a", "1.2"], ["--points", "1"]])
     def test_bad_grid_flags_exit_1(self, tmp_path, capsys, flags):
+        # the grid is fixed: --a and --points are not options at any value
         state = write_state(tmp_path, "s.json", np.eye(2) / 2)
         out_csv = str(tmp_path / "c.csv")
-        code, _, _ = run(capsys, ["curve", state, *flags, "--out", out_csv])
+        code, out, err = run(capsys, ["curve", state, *flags, "--out", out_csv])
         assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_missing_out_flag_exits_1(self, tmp_path, capsys):
         state = write_state(tmp_path, "s.json", np.eye(2) / 2)
@@ -264,28 +269,13 @@ class TestRecoverCommand:
         assert "entrospec:" in err
         assert "Traceback" not in err
 
-    def test_custom_nodes(self, tmp_path, capsys):
-        state = write_state(tmp_path, "s.json", np.diag([0.75, 0.25]))
-        code, out, _ = run(
-            capsys,
-            ["recover", state, "--nodes", "0.2", "0.4", "0.6", "0.8", "0.3", "0.7"],
-        )
-        assert code == 0
-        assert json.loads(out)["linf_error"] <= 1e-8
-
-    def test_underflowing_difference_step_exits_4(self, tmp_path, capsys):
-        state = write_state(tmp_path, "s.json", np.diag([0.75, 0.25]))
-        code, out, err = run(
-            capsys, ["recover", state, "--derivative", "fd", "--nodes", "5e-324", "0.2", "0.4"]
-        )
-        assert code == 4
-        assert out == ""
-        assert "entrospec:" in err
-
     def test_bad_nodes_exit_1(self, tmp_path, capsys):
+        # the fitting nodes are fixed: --nodes is not an option
         state = write_state(tmp_path, "s.json", np.diag([0.75, 0.25]))
-        code, _, _ = run(capsys, ["recover", state, "--nodes", "0.2", "0.2", "0.4"])
+        code, out, err = run(capsys, ["recover", state, "--nodes", "0.2", "0.2", "0.4"])
         assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestSelftestCommand:
@@ -307,6 +297,14 @@ class TestSelftestCommand:
         assert code == 1
         assert out == ""
         assert "unrecognized arguments" in err
+
+
+    def test_negative_seed_exits_1(self, capsys):
+        code, out, err = run(capsys, ["selftest", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert "seed must be a non-negative int, got -1" in err
+        assert "Traceback" not in err
 
 
 class TestResolveSeed:

@@ -15,7 +15,7 @@ from entrospec import (
     sample_log2_determinant,
 )
 from entrospec.errors import ComplexRoots, DegreeDeficit, IllConditioned, OracleDomain
-from entrospec.recovery import VALIDATION_NODES
+from entrospec.recovery import VALIDATION_NODES, _fitting_nodes
 
 from conftest import diag_state
 
@@ -71,31 +71,18 @@ class TestDefaultRecoveryConfig:
         assert all(b > a for a, b in zip(nodes, nodes[1:]))
         assert tuple(held_out) == VALIDATION_NODES
 
+    def test_nodes_are_not_a_parameter(self):
+        # the fitting nodes are fixed by the method, not passed in
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
+        for call in (recover_spectrum, fit_determinant_polynomial):
+            with pytest.raises(TypeError):
+                call(oracle, nodes=(0.2, 0.4, 0.6))
+
     def test_rejects_nonpositive_dimension(self):
         # unchecked, 0 divides by zero in the fit and True runs as n = 1
         for dimension in (0, -1, True, 2.0):
             with pytest.raises(ValueError, match="dimension"):
                 EntropyOracle(lambda lam: 0.0, None, dimension)
-
-
-class TestRecoveryConfigValidation:
-    """The fitting nodes, the one recovery setting a caller passes."""
-
-    def test_rejects_nodes_outside_domain(self):
-        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
-        for nodes in ((0.0, 0.4, 0.6), (0.2, 0.4, 0.95), (0.2, math.nan, 0.6)):
-            with pytest.raises(ValueError, match="must lie in"):
-                recover_spectrum(oracle, nodes=nodes)
-
-    def test_rejects_empty_node_sets(self):
-        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
-        with pytest.raises(ValueError, match="must not be empty"):
-            recover_spectrum(oracle, nodes=())
-
-    def test_rejects_duplicate_nodes(self):
-        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
-        with pytest.raises(ValueError, match="distinct"):
-            recover_spectrum(oracle, nodes=(0.2, 0.4, 0.4))
 
 
 class TestFitDeterminantPolynomial:
@@ -124,11 +111,6 @@ class TestFitDeterminantPolynomial:
             assert fitted.shape == direct.shape == (n + 1,)
             np.testing.assert_allclose(fitted, direct, atol=1e-8)
             assert residual <= 1e-8
-
-    def test_requires_enough_nodes(self):
-        oracle = oracle_from_spectrum(diag_state(0.4, 0.3, 0.2, 0.1).spectrum)
-        with pytest.raises(ValueError, match="need at least 5 fitting nodes"):
-            recover_spectrum(oracle, nodes=(0.2, 0.4, 0.6, 0.8))
 
     def test_inconsistent_oracle_is_rejected(self, rng):
         # a smooth non-polynomial wobble in the curve cannot be matched by
@@ -163,8 +145,6 @@ class TestFitDeterminantPolynomial:
 class TestOneOraclePass:
     """The fit reads the oracle once: every fitting node, then the held-out nodes."""
 
-    NODES = (0.8, 0.2, 0.6, 0.4, 0.9)
-
     @pytest.mark.parametrize("include_derivative", [True, False])
     def test_query_order(self, include_derivative):
         base = oracle_from_spectrum(diag_state(0.4, 0.3, 0.2, 0.1).spectrum, include_derivative)
@@ -175,11 +155,12 @@ class TestOneOraclePass:
             return base.value_fn(lam)
 
         oracle = EntropyOracle(value, base.derivative_fn, 4)
-        fit_determinant_polynomial(oracle, self.NODES)
+        fit_determinant_polynomial(oracle)
+        expected = (*_fitting_nodes(4).tolist(), *VALIDATION_NODES)
         # a finite-difference sample reads lam + h, lam - h, then lam itself
         step = 1 if include_derivative else 3
-        assert len(queried) == step * (len(self.NODES) + len(VALIDATION_NODES))
-        assert tuple(queried[step - 1::step]) == self.NODES + VALIDATION_NODES
+        assert len(queried) == step * len(expected)
+        assert tuple(queried[step - 1::step]) == expected
 
     def test_nonpositive_prediction_still_reads_every_held_out_node(self):
         # the bump oracle of test_nonpositive_prediction_is_rejected: its fit
