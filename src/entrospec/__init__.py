@@ -31,7 +31,6 @@ from .errors import (
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
-    OracleDomain,
     ParseError,
     SingularEndpoint,
     SingularSample,
@@ -77,7 +76,6 @@ __all__ = [
     "NotFinite",
     "NotHermitian",
     "NotPositiveSemidefinite",
-    "OracleDomain",
     "ParseError",
     "PropertyResult",
     "QuantumState",

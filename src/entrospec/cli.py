@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     EntrospecError,
     IllConditioned,
-    OracleDomain,
     ParseError,
 )
 from .matrixio import load_matrix
@@ -49,7 +48,7 @@ EXIT_NOT_EQUIVALENT = 3
 EXIT_RECOVERY = 4
 EXIT_SELFTEST = 5
 
-_RECOVERY_ERRORS = (OracleDomain, IllConditioned, ComplexRoots, DegreeDeficit)
+_RECOVERY_ERRORS = (IllConditioned, ComplexRoots, DegreeDeficit)
 
 # the curve command's fixed grid: CURVE_POINTS weights from 0 to CURVE_LIMIT
 CURVE_LIMIT = 0.9

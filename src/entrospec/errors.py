@@ -86,15 +86,6 @@ class DimensionMismatch(EntrospecError):
         )
 
 
-class OracleDomain(EntrospecError):
-    """Entropy oracle was queried outside its declared domain."""
-
-    def __init__(self, lam: float, domain: str):
-        self.lam = lam
-        self.domain = domain
-        super().__init__(f"oracle queried at lambda = {lam!r}, outside {domain}")
-
-
 class IllConditioned(EntrospecError):
     """Least-squares fit residual too large to trust the coefficients."""
 

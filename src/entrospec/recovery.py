@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .entropy import EntropyCurve
-from .errors import ComplexRoots, DegreeDeficit, IllConditioned, OracleDomain
+from .errors import ComplexRoots, DegreeDeficit, IllConditioned
 from .states import Spectrum
 
 FIT_RESIDUAL_BOUND = 1e-3
@@ -96,55 +96,51 @@ class RecoveredSpectrum:
     sum_drift: float
 
 
-def sample_log2_determinant(oracle: EntropyOracle, lam: float) -> float:
-    """Sample the log2 determinant of the mixed state at one weight.
+def sample_log2_determinant(oracle: EntropyOracle) -> np.ndarray:
+    """Sample the log2 determinant of the mixed state at the method's nodes.
 
-    Computes n * (lam * S'(lam) - S(lam)) from the oracle. The derivative
-    comes from ``derivative_fn`` when available, otherwise from a central
-    difference with step FD_STEP * max(lam, 0.1), shrunk as needed so both
-    probe points stay inside (0, 1). A non-finite sample raises
-    IllConditioned: no fit can be trusted on it.
+    Returns n * (lam * S'(lam) - S(lam)) at the n + 5 fitting nodes, then at
+    the held-out VALIDATION_NODES, reading the oracle node by node in that
+    order. The derivative comes from ``derivative_fn`` when available,
+    otherwise from a central difference with step FD_STEP * lam; every node
+    lies in [0.1, LAMBDA_MAX], so both probe points stay inside (0, 1). A
+    non-finite sample raises IllConditioned: no fit can be trusted on it.
     """
-    if not 0.0 < lam <= LAMBDA_MAX:
-        raise OracleDomain(lam, f"(0, {LAMBDA_MAX}]")
     n = oracle.dimension
-    if oracle.derivative_fn is not None:
-        derivative = oracle.derivative_fn(lam)
-    else:
-        h = FD_STEP * max(lam, 0.1)
-        h = min(h, 0.5 * lam, 0.5 * (1.0 - lam))
-        if h <= 0.0:
-            raise OracleDomain(lam, "(0, 1) with room for finite differences")
-        derivative = (oracle.value_fn(lam + h) - oracle.value_fn(lam - h)) / (2.0 * h)
-    log2_det = n * (lam * derivative - oracle.value_fn(lam))
-    if not math.isfinite(log2_det):
-        raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND)
-    return log2_det
+    log2_dets = []
+    for lam in (*_fitting_nodes(n).tolist(), *VALIDATION_NODES):
+        if oracle.derivative_fn is not None:
+            derivative = oracle.derivative_fn(lam)
+        else:
+            h = FD_STEP * lam
+            derivative = (oracle.value_fn(lam + h) - oracle.value_fn(lam - h)) / (2.0 * h)
+        log2_det = n * (lam * derivative - oracle.value_fn(lam))
+        if not math.isfinite(log2_det):
+            raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND)
+        log2_dets.append(log2_det)
+    return np.array(log2_dets)
 
 
 def fit_determinant_polynomial(oracle: EntropyOracle) -> tuple[np.ndarray, float]:
     """Least-squares fit of the degree-n determinant polynomial.
 
-    Reads the oracle in one pass: the n + 5 fitting nodes, then the
-    held-out VALIDATION_NODES. Evaluates 2**(sampled log2 determinant) at
-    the fitting nodes, solves the Vandermonde least-squares system for the
-    ascending coefficients of degree 0..n, then pins the constant
-    coefficient to its analytically known value (1/n)^n. Returns the
-    coefficient array and the validation residual: the max log2-determinant
-    mismatch at the held-out nodes, inf if a prediction there is not
-    positive. Raises IllConditioned when that residual exceeds
-    FIT_RESIDUAL_BOUND, which signals a noisy or inconsistent oracle rather
-    than a fixable fit, when 2**sample overflows, and when a fitted
-    coefficient is not finite.
+    Reads the oracle in one pass (see sample_log2_determinant). Evaluates
+    2**(sampled log2 determinant) at the fitting nodes, solves the
+    Vandermonde least-squares system for the ascending coefficients of
+    degree 0..n, then pins the constant coefficient to its analytically
+    known value (1/n)^n. Returns the coefficient array and the validation
+    residual: the max log2-determinant mismatch at the held-out nodes, inf
+    if a prediction there is not positive. Raises IllConditioned when that
+    residual exceeds FIT_RESIDUAL_BOUND, which signals a noisy or
+    inconsistent oracle rather than a fixable fit, when 2**sample
+    overflows, and when a fitted coefficient is not finite.
     """
     n = oracle.dimension
     nodes = _fitting_nodes(n)
 
-    log2_dets = [
-        sample_log2_determinant(oracle, float(lam)) for lam in (*nodes, *VALIDATION_NODES)
-    ]
+    log2_dets = sample_log2_determinant(oracle)
     samples = np.empty(len(nodes))
-    for i, log2_det in enumerate(log2_dets[: len(nodes)]):
+    for i, log2_det in enumerate(log2_dets[: len(nodes)].tolist()):
         try:
             samples[i] = 2.0 ** log2_det
         except OverflowError:  # no state's sample does: its log2 det is <= 0

@@ -480,9 +480,11 @@ def _prop_matrix_file_roundtrip(rng):
             if index % 7 == 0:
                 m[0, 0] = (1.0 / 3.0) + 1e-300j
             if index % 11 == 0:
-                m[-1, -1] = -0.0 + 1e16j
+                # complex(), since -0.0 + 1e16j adds +0.0 to the real part
+                m[-1, -1] = complex(-0.0, 1e16)
             save_matrix(path, m)
-            if not np.array_equal(m, load_matrix(path)):
+            # bit patterns, since -0.0 == 0.0 as floats
+            if not np.array_equal(m.view(np.uint64), load_matrix(path).view(np.uint64)):
                 mismatches += 1
     return mismatches == 0, float(mismatches), "50 write-read roundtrips are bit-exact"
 

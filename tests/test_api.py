@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "NotFinite",
     "NotHermitian",
     "NotPositiveSemidefinite",
-    "OracleDomain",
     "ParseError",
     "PropertyResult",
     "QuantumState",

@@ -127,15 +127,6 @@ class TestDecideNodes:
         report = decide_nodes(random_state(3, rng), random_state(3, rng))
         assert not report.equivalent
 
-    def test_verdict_matches_spectral_oracle(self, rng):
-        for index in range(10):
-            n = int(rng.integers(2, 9))
-            a = random_state(n, rng)
-            b = conjugate(a, random_unitary(n, rng)) if index % 2 else random_state(n, rng)
-            expected = decide_spectral(a, b).verdict
-            assert decide_nodes(a, b).verdict == expected
-            assert decide_grid(a, b).verdict == expected
-
 
 class TestDecideSpectral:
     def test_report_shape(self, rng):
@@ -236,27 +227,7 @@ class TestEquivalenceConfig:
 
 
 class TestSoundnessLoops:
-    """Smaller mirrors of the selftest soundness properties."""
-
-    def test_conjugate_pairs_equivalent_everywhere(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 9))
-            state = random_state(n, rng)
-            rotated = conjugate(state, random_unitary(n, rng))
-            for decide in (decide_spectral, decide_grid, decide_nodes):
-                assert decide(state, rotated).equivalent
-
-    def test_distinct_pairs_rejected(self, rng):
-        count = 0
-        while count < 10:
-            n = int(rng.integers(2, 9))
-            a, b = random_state(n, rng), random_state(n, rng)
-            sa = a.spectrum.as_array()
-            sb = b.spectrum.as_array()
-            if float(np.max(np.abs(sa - sb))) < 1e-3:
-                continue
-            count += 1
-            assert not decide_nodes(a, b).equivalent
+    """The soundness loops themselves are selftest properties, run by test_selftest."""
 
     def test_entropy_gap_shrinks_toward_origin(self, rng):
         # both curves start at log2(n), so gaps near weight zero are small:

@@ -387,16 +387,6 @@ class TestDepolarize:
         with pytest.raises(LambdaOutOfRange):
             depolarize(random_state(2, rng), lam)
 
-    def test_spectrum_is_affine_image(self, rng):
-        for _ in range(5):
-            n = int(rng.integers(2, 9))
-            state = random_state(n, rng)
-            lam = float(rng.uniform(0.0, 1.0))
-            base = state.spectrum.as_array()
-            expected = np.sort(lam * base + (1 - lam) / n)[::-1]
-            got = depolarize(state, lam).spectrum.as_array()
-            np.testing.assert_allclose(got, expected, atol=1e-10)
-
 
 def test_every_state_matrix_is_read_only(rng):
     # a write after the cached spectrum was read would leave it stale
