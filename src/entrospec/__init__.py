@@ -13,7 +13,6 @@ from .entropy import (
     second_derivative_times_determinant,
 )
 from .equivalence import (
-    EquivalenceConfig,
     EquivalenceReport,
     decide_grid,
     decide_nodes,
@@ -69,7 +68,6 @@ __all__ = [
     "EntropyCurve",
     "EntropyOracle",
     "EntrospecError",
-    "EquivalenceConfig",
     "EquivalenceReport",
     "IllConditioned",
     "LambdaOutOfRange",

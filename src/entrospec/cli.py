@@ -22,12 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .entropy import EntropyCurve, entropy_of_spectrum
-from .equivalence import (
-    EquivalenceConfig,
-    decide_grid,
-    decide_nodes,
-    decide_spectral,
-)
+from .equivalence import ENTROPY_TOL, decide_grid, decide_nodes, decide_spectral
 from .errors import (
     ComplexRoots,
     DegreeDeficit,
@@ -79,9 +74,6 @@ def _build_parser() -> _Parser:
     p_equiv.add_argument("--mode", choices=("spectral", "t1", "t2"), default="t2",
                          help="spectral oracle, dense-grid curve comparison (t1), "
                               "or 2n-node comparison (t2)")
-    p_equiv.add_argument("--entropy-tol", type=float, default=EquivalenceConfig.entropy_tol)
-    p_equiv.add_argument("--spectrum-tol", type=float,
-                         default=EquivalenceConfig.spectrum_tol)
 
     p_recover = sub.add_parser("recover", help="recover the spectrum from entropy values")
     p_recover.add_argument("state_file")
@@ -148,8 +140,7 @@ _DECIDERS = {"spectral": decide_spectral, "t1": decide_grid, "t2": decide_nodes}
 def _cmd_equiv(args: argparse.Namespace) -> int:
     rho = _load_state(args.state_file_a)
     sigma = _load_state(args.state_file_b)
-    eq_cfg = EquivalenceConfig(entropy_tol=args.entropy_tol, spectrum_tol=args.spectrum_tol)
-    report = _DECIDERS[args.mode](rho, sigma, eq_cfg)
+    report = _DECIDERS[args.mode](rho, sigma)
     payload = {"n": rho.dimension}
     payload.update(report.to_dict())
     _emit(payload)
@@ -189,7 +180,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     _emit(
         {
             "seed": args.seed,
-            "entropy_tol": EquivalenceConfig.entropy_tol,
+            "entropy_tol": ENTROPY_TOL,
             "all_passed": all_passed,
             "properties": [res.to_dict() for res in results],
         }

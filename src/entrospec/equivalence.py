@@ -10,15 +10,14 @@ coincide. This module offers three deciders:
   i = 1..2n, the finitary test.
 
 All three share one verdict rule: a pair is equivalent iff the sorted
-spectral distance is at most spectrum_tol and, for the curve deciders,
-every entropy gap is at most entropy_tol. Whenever a decider answers
+spectral distance is at most SPECTRUM_TOL and, for the curve deciders,
+every entropy gap is at most ENTROPY_TOL. Whenever a decider answers
 "equivalent" it also constructs an explicit unitary witness U with
 rho = U sigma U*, built from the two eigenbases.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,29 +28,16 @@ from .states import QuantumState, Spectrum, check_same_dimension, validate_state
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
 
+# The verdict rule's floating-point thresholds: the per-node entropy gap in
+# bits, and the sorted spectral distance, which every decider tests.
+ENTROPY_TOL = 1e-9
+SPECTRUM_TOL = 1e-8
+
 GRID_LIMIT = 0.9
 GRID_POINTS = 64
 # decide_grid's nodes: GRID_POINTS uniform weights strictly inside (0, GRID_LIMIT)
 _GRID_NODES = GRID_LIMIT * np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
 _GRID_NODES.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class EquivalenceConfig:
-    """The two tolerances of the verdict rule.
-
-    ``entropy_tol`` is the per-node gap threshold in bits; ``spectrum_tol``
-    bounds the sorted spectral distance, which every decider tests. Both
-    must be finite and positive. The node sets are fixed by each method.
-    """
-
-    entropy_tol: float = 1e-9
-    spectrum_tol: float = 1e-8
-
-    def __post_init__(self):
-        # written so that NaN and +-inf fail it
-        if not (0.0 < self.entropy_tol < math.inf and 0.0 < self.spectrum_tol < math.inf):
-            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -70,8 +56,6 @@ class EquivalenceReport:
     spectrum_a: tuple[float, ...]
     spectrum_b: tuple[float, ...]
     witness: np.ndarray | None
-    entropy_tol: float
-    spectrum_tol: float
 
     @property
     def equivalent(self) -> bool:
@@ -85,8 +69,8 @@ class EquivalenceReport:
             "per_node_gaps": [[lam, gap] for lam, gap in self.per_node_gaps],
             "spectrum_a": list(self.spectrum_a),
             "spectrum_b": list(self.spectrum_b),
-            "entropy_tol": self.entropy_tol,
-            "spectrum_tol": self.spectrum_tol,
+            "entropy_tol": ENTROPY_TOL,
+            "spectrum_tol": SPECTRUM_TOL,
         }
         if self.witness is not None:
             out["witness"] = {
@@ -112,19 +96,19 @@ def _decide(
     rho: QuantumState,
     sigma: QuantumState,
     method: str,
-    cfg: EquivalenceConfig,
     nodes: np.ndarray | None = None,
 ) -> EquivalenceReport:
-    """The one decision body: each spectrum is read once.
+    """The one decision body: one dimension check, one read of each spectrum.
 
     Entropy values move only as the square of a spectral perturbation, so
-    gaps within entropy_tol with a distance above spectrum_tol mean the
+    gaps within ENTROPY_TOL with a distance above SPECTRUM_TOL mean the
     pair lies below the curve test's resolution: it is not_equivalent.
     """
+    check_same_dimension(rho, sigma)
     spec_a, spec_b = rho.spectrum, sigma.spectrum
     distance = _sorted_distance(spec_a, spec_b)
 
-    equivalent = distance <= cfg.spectrum_tol
+    equivalent = distance <= SPECTRUM_TOL
     if nodes is None:
         max_gap, gaps = 0.0, ()
     else:
@@ -133,7 +117,7 @@ def _decide(
         gap_values = np.abs(curves[:, 0] - curves[:, 1])
         gaps = tuple(zip(nodes.tolist(), gap_values.tolist()))
         max_gap = float(gap_values.max())
-        equivalent = equivalent and max_gap <= cfg.entropy_tol
+        equivalent = equivalent and max_gap <= ENTROPY_TOL
 
     # The witness U = V_rho V_sigma* maps sigma's k-th eigenvector onto
     # rho's; both eigenbases are ordered by descending eigenvalue. Within a
@@ -149,53 +133,36 @@ def _decide(
         spectrum_a=spec_a.values,
         spectrum_b=spec_b.values,
         witness=witness,
-        entropy_tol=cfg.entropy_tol,
-        spectrum_tol=cfg.spectrum_tol,
     )
 
 
-def decide_spectral(
-    rho: QuantumState,
-    sigma: QuantumState,
-    cfg: EquivalenceConfig = EquivalenceConfig(),
-) -> EquivalenceReport:
+def decide_spectral(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport:
     """Equivalence by direct sorted-spectrum comparison.
 
     No entropy values are tested, so per_node_gaps is empty and
     max_entropy_gap is reported as 0.0.
     """
-    check_same_dimension(rho, sigma)
-    return _decide(rho, sigma, "spectral", cfg)
+    return _decide(rho, sigma, "spectral")
 
 
-def decide_grid(
-    rho: QuantumState,
-    sigma: QuantumState,
-    cfg: EquivalenceConfig = EquivalenceConfig(),
-) -> EquivalenceReport:
+def decide_grid(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport:
     """Equivalence by entropy-curve agreement on a dense interior grid.
 
     Samples GRID_POINTS uniform nodes strictly inside (0, GRID_LIMIT):
     lam_j = GRID_LIMIT * j / (GRID_POINTS + 1). Verdict is "equivalent"
-    iff every gap is at most entropy_tol and the sorted spectra agree
-    within spectrum_tol; a witness is then attached.
+    iff every gap is at most ENTROPY_TOL and the sorted spectra agree
+    within SPECTRUM_TOL; a witness is then attached.
     """
-    check_same_dimension(rho, sigma)
-    return _decide(rho, sigma, "grid", cfg, _GRID_NODES)
+    return _decide(rho, sigma, "grid", _GRID_NODES)
 
 
-def decide_nodes(
-    rho: QuantumState,
-    sigma: QuantumState,
-    cfg: EquivalenceConfig = EquivalenceConfig(),
-) -> EquivalenceReport:
+def decide_nodes(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport:
     """Equivalence by entropy agreement at the 2n nodes i/(2n).
 
     Since the node set includes lam = 1, this decider compares the plain
     entropies of the two states as one of its nodes.
     """
-    n = check_same_dimension(rho, sigma)
-    return _decide(rho, sigma, "nodes", cfg, default_nodes(n))
+    return _decide(rho, sigma, "nodes", default_nodes(rho.dimension))
 
 
 def equal_entropy_pair(n: int) -> tuple[QuantumState, QuantumState]:

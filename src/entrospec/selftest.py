@@ -23,7 +23,7 @@ from .entropy import (
     second_derivative_times_determinant,
 )
 from .equivalence import (
-    EquivalenceConfig,
+    ENTROPY_TOL,
     _sorted_distance,
     decide_grid,
     decide_nodes,
@@ -334,7 +334,7 @@ def _prop_single_point_insufficiency(rng):
     distance = _spectral_distance(a, b)
     report = decide_nodes(a, b)
     passed = (
-        entropy_gap <= EquivalenceConfig.entropy_tol
+        entropy_gap <= ENTROPY_TOL
         and distance >= 1e-3
         and not report.equivalent
     )

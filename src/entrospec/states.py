@@ -52,9 +52,10 @@ def as_complex_matrix(data) -> ComplexMatrix:
 class Spectrum:
     """Eigenvalues of a density matrix, sorted descending, summing to 1.
 
-    Only non-emptiness and finiteness are checked (ValueError), not the
-    order or the sum. The values as a float64 array and their shifts are
-    built once, here, and handed out read-only.
+    Any iterable of reals is stored as a tuple of Python floats, so equal
+    values compare and hash equal. Only non-emptiness and finiteness are
+    checked (ValueError), not the order or the sum. The values as a float64
+    array and their shifts are built once, here, and handed out read-only.
     """
 
     values: tuple[float, ...]
@@ -62,6 +63,7 @@ class Spectrum:
     _shifted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if not self.values:
             raise ValueError("spectrum must have at least one value")
         if not all(map(math.isfinite, self.values)):
@@ -145,7 +147,7 @@ class QuantumState:
         object.__setattr__(self, "eigensystem", (values, vectors))
         clamped = values.clip(0.0, 1.0)
         clamped /= float(clamped.sum())
-        object.__setattr__(self, "spectrum", Spectrum(values=tuple(clamped.tolist())))
+        object.__setattr__(self, "spectrum", Spectrum(values=clamped.tolist()))
 
 
 def validate_state(data) -> QuantumState:

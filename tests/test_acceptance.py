@@ -15,7 +15,6 @@ from numpy.polynomial.polynomial import polyval
 
 from entrospec import (
     EntropyCurve,
-    EquivalenceConfig,
     decide_grid,
     decide_nodes,
     decide_spectral,
@@ -29,6 +28,7 @@ from entrospec import (
     run_selftest,
     validate_state,
 )
+from entrospec.equivalence import ENTROPY_TOL
 
 
 def _verdict(number, failures):
@@ -126,7 +126,6 @@ def test_criterion_3_conjugate_pairs_match_on_grid():
 def test_criterion_4_node_test_detection():
     rng = _rng(4)
     failures = []
-    cfg = EquivalenceConfig(entropy_tol=1e-9)
     start = time.perf_counter()
 
     accepted = 0
@@ -138,7 +137,7 @@ def test_criterion_4_node_test_detection():
         if distance < 1e-3:
             continue
         accepted += 1
-        if decide_nodes(a, b, cfg).equivalent:
+        if decide_nodes(a, b).equivalent:
             failures.append(
                 f"distinct pair (spectral distance {distance:.2e}) passed the node test"
             )
@@ -163,9 +162,9 @@ def test_criterion_4_node_test_detection():
         failures.append(
             f"crafted pair is not distinct (spectral distance {crafted_distance:.2e})"
         )
-    crafted_report = decide_nodes(crafted_a, crafted_b, cfg)
+    crafted_report = decide_nodes(crafted_a, crafted_b)
     full_weight_node_gap = dict(crafted_report.per_node_gaps)[1.0]
-    if full_weight_node_gap > cfg.entropy_tol:
+    if full_weight_node_gap > ENTROPY_TOL:
         failures.append(
             "single-node check at full weight does not pass the crafted pair "
             f"(gap {full_weight_node_gap:.2e})"
@@ -184,7 +183,7 @@ def test_criterion_4_node_test_detection():
         failures.append(
             f"two-level boundary pair spectra differ by {boundary_distance:.2e}"
         )
-    boundary_report = decide_nodes(boundary_a, boundary_b, cfg)
+    boundary_report = decide_nodes(boundary_a, boundary_b)
     if boundary_report.verdict != "equivalent" or boundary_report.witness is None:
         failures.append("two-level boundary pair was not accepted with a witness")
 

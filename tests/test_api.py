@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "EntropyCurve",
     "EntropyOracle",
     "EntrospecError",
-    "EquivalenceConfig",
     "EquivalenceReport",
     "IllConditioned",
     "LambdaOutOfRange",

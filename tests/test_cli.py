@@ -4,13 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from entrospec import EquivalenceConfig, random_state, save_matrix, selftest
+from entrospec import random_state, save_matrix, selftest
 from entrospec.cli import CURVE_LIMIT, CURVE_POINTS, main
-from entrospec.equivalence import GRID_LIMIT, GRID_POINTS
+from entrospec.equivalence import ENTROPY_TOL, GRID_LIMIT, GRID_POINTS, SPECTRUM_TOL
 from entrospec.errors import ParseError
 from entrospec.matrixio import load_matrix, parse_matrix_file
-
-from conftest import diag_state
 
 
 def write_state(tmp_path, name, matrix):
@@ -151,9 +149,8 @@ class TestEquivCommand:
         code, out, _ = run(capsys, ["equiv", a, a, "--mode", "t1"])
         assert code == 0
         payload = json.loads(out)
-        defaults = EquivalenceConfig()
-        assert payload["entropy_tol"] == defaults.entropy_tol
-        assert payload["spectrum_tol"] == defaults.spectrum_tol
+        assert payload["entropy_tol"] == ENTROPY_TOL
+        assert payload["spectrum_tol"] == SPECTRUM_TOL
         nodes = [lam for lam, _ in payload["per_node_gaps"]]
         assert len(nodes) == GRID_POINTS
         assert nodes[-1] < GRID_LIMIT
@@ -193,32 +190,15 @@ class TestEquivCommand:
         assert out == ""
         assert "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("flag", ["--a", "--points"])
+    @pytest.mark.parametrize("flag", ["--a", "--points", "--entropy-tol", "--spectrum-tol"])
     def test_grid_flags_exit_1(self, tmp_path, capsys, flag):
-        # t1's grid is fixed: GRID_POINTS weights inside (0, GRID_LIMIT)
+        # t1's grid is fixed: GRID_POINTS weights inside (0, GRID_LIMIT), and
+        # the verdict rule's tolerances are ENTROPY_TOL and SPECTRUM_TOL
         a = write_state(tmp_path, "a.json", np.eye(2) / 2)
         code, out, err = run(capsys, ["equiv", a, a, "--mode", "t1", flag, "8"])
         assert code == 1
         assert out == ""
         assert "unrecognized arguments" in err
-
-    def test_loose_entropy_tolerance_exits_3(self, tmp_path, capsys):
-        # an absurd entropy tolerance passes every gap of distinct spectra;
-        # the sorted spectra still decide the pair
-        a = write_state(tmp_path, "a.json", np.diag([1.0, 0.0]))
-        b = write_state(tmp_path, "b.json", np.eye(2) / 2)
-        code, out, _ = run(capsys, ["equiv", a, b, "--entropy-tol", "10.0"])
-        assert code == 3
-        assert json.loads(out)["verdict"] == "not_equivalent"
-
-    def test_nan_tolerance_exits_1(self, tmp_path, capsys):
-        # NaN fails every comparison: unchecked, it decides a state
-        # against itself as not_equivalent (exit 3)
-        a = write_state(tmp_path, "a.json", np.diag([0.75, 0.25]))
-        code, out, err = run(capsys, ["equiv", a, a, "--entropy-tol", "nan"])
-        assert code == 1
-        assert out == ""
-        assert "finite and positive" in err
 
     def test_bad_mode_exits_1(self, tmp_path, capsys):
         a = write_state(tmp_path, "a.json", np.eye(2) / 2)

@@ -1,12 +1,8 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 
 from entrospec import (
     EntropyCurve,
-    EquivalenceConfig,
     Spectrum,
     decide_grid,
     decide_nodes,
@@ -20,7 +16,14 @@ from entrospec import (
     random_unitary,
     validate_state,
 )
-from entrospec.equivalence import GRID_LIMIT, GRID_POINTS, _GRID_NODES, _decide
+from entrospec.equivalence import (
+    ENTROPY_TOL,
+    GRID_LIMIT,
+    GRID_POINTS,
+    SPECTRUM_TOL,
+    _GRID_NODES,
+    _decide,
+)
 from entrospec.errors import DimensionMismatch
 
 from conftest import conjugate, diag_state
@@ -89,13 +92,18 @@ class TestDecideGrid:
         report = decide_grid(state, state)
         assert report.equivalent and report.witness is not None
 
-    def test_loose_entropy_tolerance_is_flagged(self):
-        # every gap passes the absurd tolerance; the spectra still decide
-        cfg = EquivalenceConfig(entropy_tol=10.0)
-        report = decide_grid(diag_state(1.0, 0.0), diag_state(0.5, 0.5), cfg)
-        assert not report.equivalent
-        assert report.witness is None
-        assert report.max_entropy_gap <= 10.0
+    def test_entropy_gap_shrinks_toward_origin(self, rng):
+        # both curves start at log2(n), so gaps near weight zero are small:
+        # a sanity check that the grid decider probes genuinely distinct
+        # information at different weights
+        a, b = random_state(4, rng), random_state(4, rng)
+        report = decide_grid(a, b)
+        gaps = [gap for _, gap in report.per_node_gaps]
+        assert gaps[0] < gaps[-1]
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch):
+            decide_grid(random_state(2, rng), random_state(3, rng))
 
 
 class TestDecideNodes:
@@ -126,6 +134,13 @@ class TestDecideNodes:
     def test_distinct_pair_flagged(self, rng):
         report = decide_nodes(random_state(3, rng), random_state(3, rng))
         assert not report.equivalent
+
+    def test_dimension_mismatch(self, rng):
+        # the nodes follow the first state's dimension; the check still fires
+        with pytest.raises(DimensionMismatch):
+            decide_nodes(random_state(2, rng), random_state(3, rng))
+        with pytest.raises(DimensionMismatch):
+            decide_nodes(random_state(3, rng), random_state(2, rng))
 
 
 class TestDecideSpectral:
@@ -165,16 +180,46 @@ class TestDecideSpectral:
 @pytest.mark.parametrize(
     "decide", [decide_spectral, decide_grid, decide_nodes], ids=["spectral", "grid", "nodes"]
 )
-@pytest.mark.parametrize("delta", [3e-8, 1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("delta", [2 * SPECTRUM_TOL, 3e-8, 1e-7, 1e-6, 1e-5])
 def test_split_degenerate_pair_is_not_equivalent(rng, decide, delta):
     # entropy values move only as delta**2, so every curve gap passes
-    # entropy_tol while the spectra differ by delta > spectrum_tol
+    # ENTROPY_TOL while the spectra differ by delta > SPECTRUM_TOL
     a = conjugate(diag_state(0.4, 0.4, 0.2), random_unitary(3, rng))
     b = conjugate(diag_state(0.4 + delta, 0.4 - delta, 0.2), random_unitary(3, rng))
     report = decide(a, b)
     assert not report.equivalent
     assert report.witness is None
-    assert report.max_entropy_gap <= report.entropy_tol
+    assert report.max_entropy_gap <= ENTROPY_TOL
+
+
+@pytest.mark.parametrize(
+    "decide", [decide_spectral, decide_grid, decide_nodes], ids=["spectral", "grid", "nodes"]
+)
+def test_split_within_spectrum_tol_is_equivalent(rng, decide):
+    # the other side of the boundary above: half SPECTRUM_TOL is within the
+    # verdict rule, so the pair is equivalent and carries a witness
+    delta = 0.5 * SPECTRUM_TOL
+    a = conjugate(diag_state(0.4, 0.4, 0.2), random_unitary(3, rng))
+    b = conjugate(diag_state(0.4 + delta, 0.4 - delta, 0.2), random_unitary(3, rng))
+    report = decide(a, b)
+    assert report.equivalent
+    w = report.witness
+    assert np.max(np.abs(a.matrix - w @ b.matrix @ w.conj().T)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "decide", [decide_spectral, decide_grid, decide_nodes], ids=["spectral", "grid", "nodes"]
+)
+def test_tolerances_are_constants(decide):
+    # the verdict rule takes no configuration: a third argument is an error,
+    # and the report echoes the module constants
+    state = diag_state(0.75, 0.25)
+    with pytest.raises(TypeError):
+        decide(state, state, None)
+    report = decide(state, state)
+    assert not hasattr(report, "entropy_tol") and not hasattr(report, "spectrum_tol")
+    doc = report.to_dict()
+    assert (doc["entropy_tol"], doc["spectrum_tol"]) == (ENTROPY_TOL, SPECTRUM_TOL) == (1e-9, 1e-8)
 
 
 class TestEqualEntropyPair:
@@ -206,37 +251,6 @@ class TestEqualEntropyPair:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             equal_entropy_pair(4)
-
-
-class TestEquivalenceConfig:
-    def test_holds_only_the_two_tolerances(self):
-        names = tuple(field.name for field in dataclasses.fields(EquivalenceConfig))
-        assert names == ("entropy_tol", "spectrum_tol")
-        for knob in ("grid_limit", "grid_points", "nodes"):
-            with pytest.raises(TypeError):
-                EquivalenceConfig(**{knob: None})
-
-    def test_rejects_nonpositive_tolerances(self):
-        with pytest.raises(ValueError):
-            EquivalenceConfig(entropy_tol=0.0)
-        # NaN fails every comparison, so a `<= 0` check alone lets it through
-        for value in (math.nan, math.inf, -math.inf):
-            for field in ("entropy_tol", "spectrum_tol"):
-                with pytest.raises(ValueError, match="finite and positive"):
-                    EquivalenceConfig(**{field: value})
-
-
-class TestSoundnessLoops:
-    """The soundness loops themselves are selftest properties, run by test_selftest."""
-
-    def test_entropy_gap_shrinks_toward_origin(self, rng):
-        # both curves start at log2(n), so gaps near weight zero are small:
-        # a sanity check that the grid decider probes genuinely distinct
-        # information at different weights
-        a, b = random_state(4, rng), random_state(4, rng)
-        report = decide_grid(a, b)
-        gaps = [gap for _, gap in report.per_node_gaps]
-        assert gaps[0] < gaps[-1]
 
 
 def test_depolarized_pairs_preserve_equivalence(rng):
@@ -333,7 +347,7 @@ def test_fused_curve_pass_is_bitwise_two_curve_passes(n, rng):
     for nodes in (default_nodes(n), _GRID_NODES):
         for a in states:
             for b in states:
-                report = _decide(a, b, "nodes", EquivalenceConfig(), nodes)
+                report = _decide(a, b, "nodes", nodes)
                 expected = np.abs(
                     EntropyCurve(a.spectrum).values(nodes) - EntropyCurve(b.spectrum).values(nodes)
                 )

@@ -444,6 +444,17 @@ def test_spectrum_arrays_are_built_once_and_read_only(n, rng):
     assert repr(spectrum) == f"Spectrum(values={values!r})"
 
 
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "ndarray"])
+def test_spectrum_stores_values_as_a_float_tuple(make):
+    # a list or an ndarray gives the same Spectrum as the tuple, hash included
+    values = (0.5, 0.3, 0.2)
+    spectrum = Spectrum(values=make(values))
+    assert type(spectrum.values) is tuple
+    assert all(type(value) is float for value in spectrum.values)
+    assert spectrum == Spectrum(values=values)
+    assert hash(spectrum) == hash(Spectrum(values=values))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spectrum_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
