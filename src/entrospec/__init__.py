@@ -32,7 +32,6 @@ from .errors import (
     NotPositiveSemidefinite,
     ParseError,
     SingularEndpoint,
-    SingularSample,
     TraceNotOne,
     ValidationError,
 )
@@ -51,7 +50,6 @@ from .states import (
     QuantumState,
     Spectrum,
     as_complex_matrix,
-    check_same_dimension,
     depolarize,
     random_state,
     random_unitary,
@@ -79,12 +77,10 @@ __all__ = [
     "QuantumState",
     "RecoveredSpectrum",
     "SingularEndpoint",
-    "SingularSample",
     "Spectrum",
     "TraceNotOne",
     "ValidationError",
     "as_complex_matrix",
-    "check_same_dimension",
     "decide_grid",
     "decide_nodes",
     "decide_spectral",

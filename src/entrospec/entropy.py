@@ -74,23 +74,6 @@ class EntropyCurve:
         """Entropy in bits at mixing weight lam, for lam in [0, 1]."""
         return float(_entropy_bits(self._mixed_eigenvalues(lam)))
 
-    def values(self, lams) -> np.ndarray:
-        """Entropy in bits at every weight of a 1-D array, in one pass.
-
-        Bitwise equal to ``[value(lam) for lam in lams]``: both use the
-        same sum. Raises ValueError on an array of more than one dimension,
-        and LambdaOutOfRange, naming the first offending weight, if any
-        weight lies outside [0, 1].
-        """
-        lams = np.asarray(lams, dtype=np.float64)
-        if lams.ndim > 1:
-            raise ValueError(f"weights must be a 1-D array, got shape {lams.shape}")
-        lams = lams.reshape(-1)
-        outside = ~((lams >= 0.0) & (lams <= 1.0))
-        if outside.any():
-            raise LambdaOutOfRange(float(lams[outside][0]), "[0, 1]")
-        return _curve_entropies(lams, self.spectrum.shifted())
-
     def derivative(self, lam: float) -> float:
         """First derivative: -sum_i u_i log2(lam * u_i + 1/n).
 

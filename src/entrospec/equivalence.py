@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _curve_entropies, entropy_of_spectrum
-from .states import QuantumState, Spectrum, check_same_dimension, validate_state
+from .errors import DimensionMismatch
+from .states import QuantumState, Spectrum, validate_state
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -40,13 +41,14 @@ _GRID_NODES = GRID_LIMIT * np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
 _GRID_NODES.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceReport:
     """Outcome of one equivalence decision.
 
     ``per_node_gaps`` lists (mixing weight, |entropy gap|) for every tested
     node; it is empty for the spectral method, which tests no curve points.
     ``witness`` is present exactly when the verdict is "equivalent".
+    Reports compare and hash by identity, as the witness array cannot.
     """
 
     verdict: str
@@ -104,7 +106,8 @@ def _decide(
     gaps within ENTROPY_TOL with a distance above SPECTRUM_TOL mean the
     pair lies below the curve test's resolution: it is not_equivalent.
     """
-    check_same_dimension(rho, sigma)
+    if rho.dimension != sigma.dimension:
+        raise DimensionMismatch(rho.dimension, sigma.dimension)
     spec_a, spec_b = rho.spectrum, sigma.spectrum
     distance = _sorted_distance(spec_a, spec_b)
 

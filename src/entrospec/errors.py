@@ -55,10 +55,6 @@ class TraceNotOne(ValidationError):
         )
 
 
-class SingularSample(EntrospecError):
-    """A random draw produced a degenerate object (e.g. rank-deficient QR)."""
-
-
 class LambdaOutOfRange(EntrospecError):
     """Mixing parameter outside the domain of the requested quantity."""
 

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     LambdaOutOfRange,
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
-    SingularSample,
     TraceNotOne,
 )
 
@@ -172,19 +170,14 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a Haar-distributed n x n unitary.
 
     QR-decomposes a complex Ginibre matrix and normalizes the phases of
-    R's diagonal so the distribution is exactly Haar. Retries up to three
-    times on the measure-zero event of a singular draw.
+    R's diagonal so the distribution is exactly Haar.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    for _ in range(3):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r)
-        if np.any(np.abs(diag) < 1e-12):
-            continue
-        return q * (diag / np.abs(diag))
-    raise SingularSample(f"could not draw a nonsingular {n} x {n} Ginibre matrix")
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def depolarize(state: QuantumState, lam: float) -> QuantumState:
@@ -194,10 +187,3 @@ def depolarize(state: QuantumState, lam: float) -> QuantumState:
     n = state.dimension
     mixed = lam * state.matrix + (1.0 - lam) / n * np.eye(n, dtype=np.complex128)
     return QuantumState(mixed)
-
-
-def check_same_dimension(a: QuantumState, b: QuantumState) -> int:
-    """Return the shared dimension or raise DimensionMismatch."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(a.dimension, b.dimension)
-    return a.dimension

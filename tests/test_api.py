@@ -32,12 +32,10 @@ PUBLIC_NAMES = [
     "QuantumState",
     "RecoveredSpectrum",
     "SingularEndpoint",
-    "SingularSample",
     "Spectrum",
     "TraceNotOne",
     "ValidationError",
     "as_complex_matrix",
-    "check_same_dimension",
     "decide_grid",
     "decide_nodes",
     "decide_spectral",

@@ -144,7 +144,7 @@ class TestEquivCommand:
         residual = matrix - witness @ matrix @ witness.conj().T
         assert np.max(np.abs(residual)) <= 1e-8
 
-    def test_defaults_come_from_equivalence_config(self, tmp_path, capsys):
+    def test_report_echoes_the_tolerance_constants_and_grid(self, tmp_path, capsys):
         a = write_state(tmp_path, "a.json", np.diag([0.75, 0.25]))
         code, out, _ = run(capsys, ["equiv", a, a, "--mode", "t1"])
         assert code == 0

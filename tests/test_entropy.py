@@ -13,6 +13,7 @@ from entrospec import (
     second_derivative_times_determinant,
     validate_state,
 )
+from entrospec.entropy import _curve_entropies
 from entrospec.errors import LambdaOutOfRange, SingularEndpoint
 
 from conftest import diag_state
@@ -92,7 +93,7 @@ class TestEntropyCurveValue:
         # the sum of zero terms is -0.0 before the kernel adds + 0.0
         spectrum = Spectrum(values=(1.0,) + (0.0,) * (n - 1))
         curve = EntropyCurve(spectrum)
-        for x in (entropy_of_spectrum(spectrum), curve.value(1.0), curve.values([0.0, 1.0])[1]):
+        for x in (entropy_of_spectrum(spectrum), curve.value(1.0)):
             assert x == 0.0 and math.copysign(1.0, x) == 1.0
 
 
@@ -103,7 +104,7 @@ def _low_rank_spectrum(n, rank, rng) -> Spectrum:
 
 
 class TestEntropyCurveValues:
-    """The one-pass array evaluator against the scalar ``value``."""
+    """The stacked kernel ``_decide`` runs, against the scalar ``value``."""
 
     def test_bitwise_equal_to_value(self, rng):
         # the sizes straddle 8 because numpy sums pairwise from 8 terms on,
@@ -123,21 +124,8 @@ class TestEntropyCurveValues:
         for spectrum in spectra:
             curve = EntropyCurve(spectrum)
             expected = np.array([curve.value(float(lam)) for lam in lams])
-            got = curve.values(lams)
+            got = _curve_entropies(lams, spectrum.shifted())
             assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
-
-    @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan, math.inf])
-    def test_domain_check(self, bad):
-        curve = EntropyCurve(Spectrum(values=(0.5, 0.5)))
-        with pytest.raises(LambdaOutOfRange) as info:
-            curve.values([0.0, 0.5, bad, 1.0])
-        assert info.value.lam == bad or (math.isnan(bad) and math.isnan(info.value.lam))
-
-    def test_rejects_two_dimensional_weights(self):
-        curve = EntropyCurve(Spectrum(values=(0.5, 0.5)))
-        with pytest.raises(ValueError):
-            curve.values([[0.1, 0.2], [0.3, 0.4]])
-        assert curve.values(0.5).tolist() == [curve.value(0.5)]
 
 
 class TestEntropyCurveDerivatives:

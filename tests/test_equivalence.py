@@ -222,6 +222,20 @@ def test_tolerances_are_constants(decide):
     assert (doc["entropy_tol"], doc["spectrum_tol"]) == (ENTROPY_TOL, SPECTRUM_TOL) == (1e-9, 1e-8)
 
 
+@pytest.mark.parametrize(
+    "decide", [decide_spectral, decide_grid, decide_nodes], ids=["spectral", "grid", "nodes"]
+)
+def test_reports_compare_and_hash_by_identity(rng, decide):
+    # an equivalent report holds a witness array, which has no truth value
+    # and no hash, so reports are compared as objects, not field by field
+    state = random_state(3, rng)
+    for other in (conjugate(state, random_unitary(3, rng)), random_state(3, rng)):
+        report = decide(state, other)
+        assert report == report
+        assert report != decide(state, other)
+        assert len({report, decide(state, other)}) == 2
+
+
 class TestEqualEntropyPair:
     def test_three_level_pair_matches_entropy_but_not_spectrum(self):
         a, b = equal_entropy_pair(3)
@@ -281,7 +295,9 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
         assert decide(rho, sigma).witness is not None
         assert not decide(rho, other).equivalent
     entropy_of_spectrum(rho.spectrum)
-    EntropyCurve(rho.spectrum).values(default_nodes(8))
+    curve = EntropyCurve(rho.spectrum)
+    for lam in default_nodes(8):
+        curve.value(lam)
     oracle_from_spectrum(rho.spectrum).value_fn(0.5)
     assert calls == []
 
@@ -340,7 +356,7 @@ def test_grid_nodes_are_a_read_only_constant():
 @pytest.mark.parametrize("n", range(1, 17))
 def test_fused_curve_pass_is_bitwise_two_curve_passes(n, rng):
     # _decide evaluates both curves in one stacked pass; every gap must be
-    # the bits of the difference of the two separate EntropyCurve passes
+    # the bits of the difference of the scalar EntropyCurve.value at each node
     states = [random_state(n, rng), _degenerate_state(n, rng)]
     states += [_low_rank_state(n, rank, rng) for rank in (1, 2, 3) if rank <= n]
     states.append(conjugate(states[0], random_unitary(n, rng)))
@@ -348,8 +364,10 @@ def test_fused_curve_pass_is_bitwise_two_curve_passes(n, rng):
         for a in states:
             for b in states:
                 report = _decide(a, b, "nodes", nodes)
+                curve_a, curve_b = EntropyCurve(a.spectrum), EntropyCurve(b.spectrum)
                 expected = np.abs(
-                    EntropyCurve(a.spectrum).values(nodes) - EntropyCurve(b.spectrum).values(nodes)
+                    np.array([curve_a.value(lam) for lam in nodes])
+                    - np.array([curve_b.value(lam) for lam in nodes])
                 )
                 got = np.array([gap for _, gap in report.per_node_gaps])
                 assert got.tobytes() == expected.tobytes()

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import warnings
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from entrospec import (
-    DimensionMismatch,
     NotFinite,
     NotHermitian,
     NotPositiveSemidefinite,
@@ -15,7 +15,6 @@ from entrospec import (
     TraceNotOne,
     ValidationError,
     as_complex_matrix,
-    check_same_dimension,
     depolarize,
     random_state,
     random_unitary,
@@ -367,6 +366,22 @@ class TestRandomUnitary:
         conjugated = u @ (np.eye(4) / 4) @ u.conj().T
         np.testing.assert_allclose(conjugated, np.eye(4) / 4, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_nonpositive_dimension(self, n):
+        with pytest.raises(ValueError):
+            random_unitary(n, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_is_one_phase_fixed_qr_of_one_draw(self, n, rng):
+        # one Ginibre draw, one QR, R's diagonal phases moved onto Q's columns
+        twin = copy.deepcopy(rng)
+        g = twin.standard_normal((n, n)) + 1j * twin.standard_normal((n, n))
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        u = random_unitary(n, rng)
+        assert u.tobytes() == (q * (d / np.abs(d))).tobytes()
+        assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-13
+
 
 class TestDepolarize:
     def test_zero_weight_gives_maximal_mixed(self, rng):
@@ -395,11 +410,6 @@ def test_every_state_matrix_is_read_only(rng):
     for matrix in (state.matrix, depolarize(state, 0.5).matrix):
         with pytest.raises(ValueError):
             matrix[:] = np.eye(3) / 3
-
-
-def test_check_same_dimension(rng):
-    with pytest.raises(DimensionMismatch):
-        check_same_dimension(random_state(2, rng), random_state(3, rng))
 
 
 def test_as_complex_matrix_accepts_lists():
