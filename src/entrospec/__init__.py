@@ -6,12 +6,7 @@ toward maximal mixedness, and reconstructs a state's full eigenvalue
 spectrum from black-box access to that entropy curve.
 """
 
-from .entropy import (
-    EntropyCurve,
-    determinant_polynomial,
-    entropy_of_spectrum,
-    second_derivative_times_determinant,
-)
+from .entropy import EntropyCurve, determinant_polynomial, entropy_of_spectrum
 from .equivalence import (
     EquivalenceReport,
     decide_grid,
@@ -99,6 +94,5 @@ __all__ = [
     "run_selftest",
     "sample_log2_determinant",
     "save_matrix",
-    "second_derivative_times_determinant",
     "validate_state",
 ]

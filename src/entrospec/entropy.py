@@ -132,25 +132,3 @@ def determinant_polynomial(spectrum: Spectrum) -> np.ndarray:
         coeffs = np.convolve(coeffs, np.array([1.0 / n, float(u)]))
     return coeffs
 
-
-def second_derivative_times_determinant(spectrum: Spectrum) -> np.ndarray:
-    """Ascending coefficients of (curve second derivative) * (det polynomial).
-
-    Multiplying the second derivative by the determinant polynomial clears
-    every denominator, leaving -1/ln2 * sum_i u_i^2 * prod_{j != i} of the
-    remaining linear factors. Nominally that has degree n - 1, but the
-    top coefficient is -(sum_i u_i) * (prod_i u_i) / ln2, which vanishes
-    because the shifts sum to zero; the true degree is at most n - 2. The
-    returned array has length n (degrees 0 .. n-1) so the vanishing of the
-    last entry is itself checkable.
-    """
-    n = spectrum.dimension
-    u = spectrum.shifted()
-    total = np.zeros(n)
-    for i in range(n):
-        partial = np.array([1.0])
-        for j in range(n):
-            if j != i:
-                partial = np.convolve(partial, np.array([1.0 / n, float(u[j])]))
-        total += (u[i] * u[i]) * partial
-    return -total / _LN2

@@ -54,7 +54,6 @@ PUBLIC_NAMES = [
     "run_selftest",
     "sample_log2_determinant",
     "save_matrix",
-    "second_derivative_times_determinant",
     "validate_state",
 ]
 

@@ -288,10 +288,20 @@ class TestSelftestCommand:
 
 
 class TestResolveSeed:
-    def test_default(self, capsys):
+    def test_default(self, capsys, monkeypatch):
+        draws = []
+
+        def records(rng):
+            draws.append(rng.random())
+            return True, 0.0, "records"
+
+        monkeypatch.setattr(selftest, "_PROPERTIES", (("records", records),))
         code, out, _ = run(capsys, ["selftest"])
         assert code == 0
-        assert json.loads(out)["seed"] == 42
+        payload = json.loads(out)
+        assert sorted(payload) == ["all_passed", "properties", "seed"]
+        assert payload["seed"] == 42
+        assert draws == [np.random.default_rng([42, 0]).random()]
 
 
 class TestMatrixFiles:

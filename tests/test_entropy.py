@@ -10,7 +10,6 @@ from entrospec import (
     determinant_polynomial,
     entropy_of_spectrum,
     random_state,
-    second_derivative_times_determinant,
     validate_state,
 )
 from entrospec.entropy import _curve_entropies
@@ -235,22 +234,3 @@ class TestDeterminantPolynomial:
         assert coeffs.shape == (4,)
         assert coeffs.dtype == np.float64
 
-
-class TestSecondDerivativeTimesDeterminant:
-    def test_top_coefficient_vanishes(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 9))
-            spectrum = random_state(n, rng).spectrum
-            coeffs = second_derivative_times_determinant(spectrum)
-            assert len(coeffs) == n
-            assert abs(float(coeffs[-1])) <= 1e-10
-
-    def test_matches_pointwise_product(self, rng):
-        spectrum = random_state(5, rng).spectrum
-        coeffs = second_derivative_times_determinant(spectrum)
-        curve = EntropyCurve(spectrum)
-        det = determinant_polynomial(spectrum)
-        for lam in (0.15, 0.45, 0.85):
-            direct = curve.second_derivative(lam) * float(polyval(lam, det))
-            fitted = float(polyval(lam, coeffs))
-            assert abs(direct - fitted) <= 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,18 +6,49 @@ import pytest
 
 import entrospec.matrixio as matrixio
 import entrospec.recovery as recovery
-from entrospec import oracle_from_spectrum, random_state, recover_spectrum, selftest
+from entrospec import (
+    decide_spectral,
+    depolarize,
+    oracle_from_spectrum,
+    random_state,
+    recover_spectrum,
+    selftest,
+)
 from entrospec.recovery import VALIDATION_NODES, _fitting_nodes
 from entrospec.selftest import _noise_gain, run_selftest
 
-NOISE_INDEX = [name for name, _ in selftest._PROPERTIES].index("recovery-noise-bound")
+# Each property's generator is keyed [seed, index], so a reorder changes the
+# draws of every property it moves: it is as deliberate as an __all__ change.
+PROPERTY_NAMES = [
+    "eigensolver-reconstruction",
+    "depolarize-spectrum-map",
+    "curve-matches-entropy",
+    "derivative-finite-difference",
+    "second-derivative-finite-difference",
+    "log2-determinant-identity",
+    "product-degree-bound",
+    "deciders",
+    "single-point-insufficiency",
+    "recovery-roundtrip-analytic",
+    "recovery-roundtrip-fd",
+    "recovery-permutation-invariance",
+    "recovery-noise-bound",
+    "matrix-file-roundtrip",
+]
+
+def run_property(name, seed=0):
+    """One property with the generator run_selftest gives it at this seed."""
+    index = PROPERTY_NAMES.index(name)
+    return selftest._PROPERTIES[index][1](np.random.default_rng([seed, index]))
+
+
+def test_property_list_is_pinned():
+    assert [name for name, _ in selftest._PROPERTIES] == PROPERTY_NAMES
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_recovery_noise_bound_holds_at_every_seed(seed):
-    # run_selftest's generator for this property at this seed
-    _, prop = selftest._PROPERTIES[NOISE_INDEX]
-    passed, _, detail = prop(np.random.default_rng([seed, NOISE_INDEX]))
+    passed, _, detail = run_property("recovery-noise-bound", seed)
     assert passed, detail
 
 
@@ -33,10 +65,40 @@ def test_matrix_file_roundtrip_catches_a_lost_zero_sign(monkeypatch):
         return np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
 
     monkeypatch.setattr(matrixio, "parse_matrix_file", sign_losing)
-    index = [name for name, _ in selftest._PROPERTIES].index("matrix-file-roundtrip")
-    _, prop = selftest._PROPERTIES[index]
-    passed, _, _ = prop(np.random.default_rng([0, index]))
+    passed, _, _ = run_property("matrix-file-roundtrip")
     assert not passed
+
+
+def test_deciders_catches_a_decider_that_never_answers_equivalent(monkeypatch):
+    # a not_equivalent report with no witness, on every pair
+    monkeypatch.setattr(selftest, "decide_grid", lambda a, b: decide_spectral(a, depolarize(a, 0.5)))
+    passed, _, detail = run_property("deciders")
+    assert not passed
+    assert "100 wrong verdicts" in detail
+
+
+def test_deciders_catches_a_decider_that_always_answers_equivalent(monkeypatch):
+    # an equivalent report with a witness, on every pair: only the 100
+    # distinct pairs get a wrong verdict
+    monkeypatch.setattr(selftest, "decide_nodes", lambda a, b: decide_spectral(a, a))
+    passed, _, detail = run_property("deciders")
+    assert not passed
+    assert "100 wrong verdicts" in detail
+
+
+def test_roundtrip_checks_the_renormalized_sum(monkeypatch):
+    exact = selftest.recover_spectrum
+
+    def sums_to_one_plus_1e10(oracle):
+        result = exact(oracle)
+        values = (result.values[0] + 1e-10,) + result.values[1:]
+        return dataclasses.replace(result, values=values)
+
+    monkeypatch.setattr(selftest, "recover_spectrum", sums_to_one_plus_1e10)
+    passed, worst, detail = run_property("recovery-roundtrip-analytic")
+    assert not passed, detail
+    # within the roundtrip bound: only the sum check can catch it
+    assert worst <= 1e-6
 
 
 @pytest.mark.parametrize("n", [3, 6])
