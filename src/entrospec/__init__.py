@@ -4,95 +4,70 @@ The library decides whether two density matrices are unitarily equivalent
 using only von Neumann entropy values along the line that mixes each state
 toward maximal mixedness, and reconstructs a state's full eigenvalue
 spectrum from black-box access to that entropy curve.
+
+Each public name is imported from its module on first use, so importing
+the package loads no layer (and no numpy) that a caller never touches.
 """
 
-from .entropy import EntropyCurve, determinant_polynomial, entropy_of_spectrum
-from .equivalence import (
-    EquivalenceReport,
-    decide_grid,
-    decide_nodes,
-    decide_spectral,
-    default_nodes,
-    equal_entropy_pair,
-)
-from .errors import (
-    ComplexRoots,
-    DegreeDeficit,
-    DimensionMismatch,
-    EntrospecError,
-    IllConditioned,
-    LambdaOutOfRange,
-    NotFinite,
-    NotHermitian,
-    NotPositiveSemidefinite,
-    ParseError,
-    SingularEndpoint,
-    TraceNotOne,
-    ValidationError,
-)
-from .matrixio import load_matrix, parse_matrix_file, save_matrix
-from .recovery import (
-    EntropyOracle,
-    RecoveredSpectrum,
-    fit_determinant_polynomial,
-    oracle_from_spectrum,
-    recover_spectrum,
-    sample_log2_determinant,
-)
-from .selftest import PropertyResult, run_selftest
-from .states import (
-    ComplexMatrix,
-    QuantumState,
-    Spectrum,
-    as_complex_matrix,
-    depolarize,
-    random_state,
-    random_unitary,
-    validate_state,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexMatrix",
-    "ComplexRoots",
-    "DegreeDeficit",
-    "DimensionMismatch",
-    "EntropyCurve",
-    "EntropyOracle",
-    "EntrospecError",
-    "EquivalenceReport",
-    "IllConditioned",
-    "LambdaOutOfRange",
-    "NotFinite",
-    "NotHermitian",
-    "NotPositiveSemidefinite",
-    "ParseError",
-    "PropertyResult",
-    "QuantumState",
-    "RecoveredSpectrum",
-    "SingularEndpoint",
-    "Spectrum",
-    "TraceNotOne",
-    "ValidationError",
-    "as_complex_matrix",
-    "decide_grid",
-    "decide_nodes",
-    "decide_spectral",
-    "default_nodes",
-    "depolarize",
-    "determinant_polynomial",
-    "entropy_of_spectrum",
-    "equal_entropy_pair",
-    "fit_determinant_polynomial",
-    "load_matrix",
-    "oracle_from_spectrum",
-    "parse_matrix_file",
-    "random_state",
-    "random_unitary",
-    "recover_spectrum",
-    "run_selftest",
-    "sample_log2_determinant",
-    "save_matrix",
-    "validate_state",
-]
+# each public name and the submodule that defines it
+_MODULE_OF = {
+    "EntropyCurve": "entropy",
+    "determinant_polynomial": "entropy",
+    "entropy_of_spectrum": "entropy",
+    "EquivalenceReport": "equivalence",
+    "decide_grid": "equivalence",
+    "decide_nodes": "equivalence",
+    "decide_spectral": "equivalence",
+    "default_nodes": "equivalence",
+    "equal_entropy_pair": "equivalence",
+    "ComplexRoots": "errors",
+    "DegreeDeficit": "errors",
+    "DimensionMismatch": "errors",
+    "EntrospecError": "errors",
+    "IllConditioned": "errors",
+    "LambdaOutOfRange": "errors",
+    "NotFinite": "errors",
+    "NotHermitian": "errors",
+    "NotPositiveSemidefinite": "errors",
+    "ParseError": "errors",
+    "SingularEndpoint": "errors",
+    "TraceNotOne": "errors",
+    "ValidationError": "errors",
+    "load_matrix": "matrixio",
+    "parse_matrix_file": "matrixio",
+    "save_matrix": "matrixio",
+    "EntropyOracle": "recovery",
+    "RecoveredSpectrum": "recovery",
+    "fit_determinant_polynomial": "recovery",
+    "oracle_from_spectrum": "recovery",
+    "recover_spectrum": "recovery",
+    "sample_log2_determinant": "recovery",
+    "PropertyResult": "selftest",
+    "run_selftest": "selftest",
+    "ComplexMatrix": "states",
+    "QuantumState": "states",
+    "Spectrum": "states",
+    "as_complex_matrix": "states",
+    "depolarize": "states",
+    "random_state": "states",
+    "random_unitary": "states",
+    "validate_state": "states",
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -19,10 +19,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .entropy import EntropyCurve, entropy_of_spectrum
-from .equivalence import decide_grid, decide_nodes, decide_spectral
 from .errors import (
     ComplexRoots,
     DegreeDeficit,
@@ -32,8 +28,6 @@ from .errors import (
     ParseError,
 )
 from .matrixio import load_matrix
-from .recovery import oracle_from_spectrum, recover_spectrum
-from .selftest import run_selftest
 from .states import QuantumState, validate_state
 
 EXIT_OK = 0
@@ -94,7 +88,11 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+# Each handler imports the layer it runs, so a child process loads only the
+# modules of its own command.
 def _cmd_entropy(args: argparse.Namespace) -> int:
+    from .entropy import entropy_of_spectrum
+
     state = _load_state(args.state_file)
     spectrum = state.spectrum
     _emit(
@@ -108,6 +106,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from .entropy import EntropyCurve
+
     state = _load_state(args.state_file)
     curve = EntropyCurve(state.spectrum)
 
@@ -135,13 +135,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_DECIDERS = {"spectral": decide_spectral, "t1": decide_grid, "t2": decide_nodes}
-
-
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    from .equivalence import DECIDERS
+
     rho = _load_state(args.state_file_a)
     sigma = _load_state(args.state_file_b)
-    report = _DECIDERS[args.mode](rho, sigma)
+    report = DECIDERS[args.mode](rho, sigma)
     payload = {"n": rho.dimension}
     payload.update(report.to_dict())
     _emit(payload)
@@ -149,6 +148,10 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .recovery import oracle_from_spectrum, recover_spectrum
+
     state = _load_state(args.state_file)
     n = state.dimension
     truth = state.spectrum
@@ -173,6 +176,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest(args.seed)
     for res in results:
         status = "ok" if res.passed else "FAIL"

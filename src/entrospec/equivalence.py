@@ -85,7 +85,16 @@ class EquivalenceReport:
 
 
 def default_nodes(n: int) -> np.ndarray:
-    """The 2n weights i/(2n), i = 1..2n, of decide_nodes, as float64; includes 1.0."""
+    """The 2n weights i/(2n), i = 1..2n, of decide_nodes, as float64; includes 1.0.
+
+    In exact arithmetic any 2n - 2 distinct weights in (0, 1] separate
+    distinct spectra. The gap g between two curves has g(0) = g'(0) = 0,
+    and g'' is a rational function whose numerator has degree at most
+    2n - 3, so by Rolle's theorem g has at most 2n - 3 zeros in (0, 1]
+    unless it vanishes identically. In floating point ENTROPY_TOL sets the
+    resolution instead, since a gap moves only as the square of a spectral
+    perturbation.
+    """
     return np.arange(1, 2 * n + 1) / (2 * n)
 
 
@@ -166,6 +175,10 @@ def decide_nodes(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport:
     entropies of the two states as one of its nodes.
     """
     return _decide(rho, sigma, "nodes", default_nodes(rho.dimension))
+
+
+# the decider behind each ``equiv --mode``
+DECIDERS = {"spectral": decide_spectral, "t1": decide_grid, "t2": decide_nodes}
 
 
 def equal_entropy_pair(n: int) -> tuple[QuantumState, QuantumState]:

@@ -3,10 +3,12 @@
 Dropping or adding a name is a deliberate change of this list.
 """
 
+import importlib
 import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import entrospec
 from entrospec.cli import main
@@ -64,8 +66,38 @@ def test_all_is_the_pinned_list():
 
 
 def test_every_public_name_resolves_from_the_package_root():
+    # each name is the object its defining module holds
     for name in PUBLIC_NAMES:
-        assert getattr(entrospec, name) is not None, name
+        module = importlib.import_module(f"entrospec.{entrospec._MODULE_OF[name]}")
+        value = getattr(entrospec, name)
+        assert value is vars(module)[name], name
+        # the module that defines it, not one that imports it (ComplexMatrix
+        # is an alias of np.ndarray, defined in states)
+        if name != "ComplexMatrix":
+            assert value.__module__ == module.__name__, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC_NAMES) <= set(dir(entrospec))
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from entrospec import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        entrospec.no_such_name
+
+
+def test_submodules_still_import_from_the_package_root():
+    from entrospec import selftest
+
+    assert selftest is importlib.import_module("entrospec.selftest")
+    assert selftest.run_selftest is entrospec.run_selftest
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +381,53 @@ class TestMatrixFiles:
     def test_non_finite_entry(self):
         with pytest.raises(ParseError, match="non-finite"):
             parse_matrix_file('{"n": 1, "re": [[Infinity]], "im": [[0]]}')
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# run the command's argv through main, then report the exit code and which
+# entrospec modules got loaded
+_LOADS_CHILD = """
+import contextlib, io, json, sys
+from entrospec.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("entrospec"))]))
+"""
+
+
+def _child_json(tmp_path, code, *argv):
+    """The JSON that ``python -c code argv...`` prints, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestCommandLoadsOnlyItsLayers:
+    """A CLI child imports the layers its command runs, and no other."""
+
+    @pytest.mark.parametrize(
+        "argv, runs, never",
+        [
+            (["entropy", "a.json"], {"entropy"}, {"equivalence", "recovery", "selftest"}),
+            (["curve", "a.json", "--out", "c.csv"], {"entropy"},
+             {"equivalence", "recovery", "selftest"}),
+            (["equiv", "a.json", "a.json"], {"equivalence"}, {"recovery", "selftest"}),
+            (["recover", "a.json"], {"recovery"}, {"equivalence", "selftest"}),
+        ],
+        ids=["entropy", "curve", "equiv", "recover"],
+    )
+    def test_command_module_set(self, tmp_path, argv, runs, never):
+        write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
+        code, modules = _child_json(tmp_path, _LOADS_CHILD, *argv)
+        loaded = {m.removeprefix("entrospec.") for m in modules}
+        assert code == 0
+        assert runs <= loaded
+        assert not never & loaded, modules
+
+    def test_bare_package_import_loads_no_numpy_and_no_submodule(self, tmp_path):
+        child = ("import json, sys, entrospec; "
+                 "print(json.dumps(['numpy' in sys.modules, "
+                 "sorted(m for m in sys.modules if m.startswith('entrospec'))]))")
+        assert _child_json(tmp_path, child) == [False, ["entrospec"]]

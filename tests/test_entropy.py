@@ -127,6 +127,38 @@ class TestEntropyCurveValues:
             assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
+class TestPowerSumExpansion:
+    """The curve's Taylor series at weight 0 in the power sums of the shifts.
+
+    With t_i = n·lam·u_i, each mixed eigenvalue is (1 + t_i)/n and
+    S(lam)·ln 2 = ln n − (1/n)·Σ_{k≥2} (−1)^k (n·lam)^k p_k / (k(k − 1)),
+    p_k = Σ u_i^k, which converges while max|t_i| < 1.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("lam", [0.01, 0.05])
+    def test_series_matches_value(self, n, lam, rng):
+        spectra = [random_state(n, rng).spectrum for _ in range(8)]
+        spectra += [_low_rank_spectrum(n, rank, rng) for rank in sorted({1, n // 2})]
+        checked = 0
+        for spectrum in spectra:
+            t = n * lam * spectrum.shifted()
+            t_max = float(np.abs(t).max())
+            # keep the terms below 2**-k, well inside the radius of convergence
+            if t_max >= 0.5:
+                continue
+            series = 0.0
+            k = 2
+            while n * t_max**k >= 1e-20:
+                series += float(((-t) ** k).sum()) / (k * (k - 1))
+                k += 1
+            expected = math.log(n) - series / n
+            got = EntropyCurve(spectrum).value(lam) * math.log(2.0)
+            assert abs(got - expected) <= 4e-15, (spectrum.values, got - expected)
+            checked += 1
+        assert checked >= 8
+
+
 class TestEntropyCurveDerivatives:
     def test_derivative_zero_at_origin(self, rng):
         for _ in range(5):
