@@ -39,10 +39,6 @@ EXIT_SELFTEST = 5
 
 _RECOVERY_ERRORS = (IllConditioned, ComplexRoots, DegreeDeficit)
 
-# the curve command's fixed grid: CURVE_POINTS weights from 0 to CURVE_LIMIT
-CURVE_LIMIT = 0.9
-CURVE_POINTS = 64
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as ParseError (exit code 1)."""
@@ -106,16 +102,13 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    from .entropy import EntropyCurve
+    from .entropy import CURVE_GRID, EntropyCurve
 
     state = _load_state(args.state_file)
     curve = EntropyCurve(state.spectrum)
 
-    # every weight is at most CURVE_LIMIT < 1, where each mixed eigenvalue is
-    # at least (1 - CURVE_LIMIT) / n, so the derivative is always defined
     rows = []
-    for j in range(CURVE_POINTS):
-        lam = CURVE_LIMIT * j / (CURVE_POINTS - 1)
+    for lam in CURVE_GRID.tolist():
         log2_det = repr(curve.log2_determinant(lam)) if lam > 0.0 else ""
         rows.append((repr(lam), repr(curve.value(lam)), repr(curve.derivative(lam)), log2_det))
 
@@ -127,8 +120,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     _emit(
         {
             "n": state.dimension,
-            "points": CURVE_POINTS,
-            "a": CURVE_LIMIT,
+            "points": len(CURVE_GRID),
+            "a": float(CURVE_GRID[-1]),
             "out": args.out,
         }
     )

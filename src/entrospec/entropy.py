@@ -10,6 +10,10 @@ whose log the recovery pipeline can sample from entropy values alone.
 All entropies are in bits, and every one of them, of a spectrum or along
 the curve, is the same sum, in which zero eigenvalues add exact zeros.
 Natural-log constants appear only as 1/ln 2 inside derivative formulas.
+
+CURVE_GRID is the one set of weights at which the library samples a
+curve: the ``curve`` command writes every row, ``decide_grid`` compares
+two curves on the rows after 0, and recovery samples those same rows.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from .errors import LambdaOutOfRange, SingularEndpoint
 from .states import Spectrum
 
 _LN2 = float(np.log(2.0))
+
+# the 64 weights 0.9 * j / 63, j = 0..63; below weight 1 every mixed
+# eigenvalue is positive, so each row has a derivative, and each row after
+# 0 a log determinant
+CURVE_GRID = 0.9 * np.arange(64) / 63
+CURVE_GRID.setflags(write=False)
 
 
 def _entropy_bits(w: np.ndarray) -> np.ndarray | float:

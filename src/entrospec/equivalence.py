@@ -4,8 +4,8 @@ Two states are unitarily equivalent exactly when their eigenvalue multisets
 coincide. This module offers three deciders:
 
 * ``decide_spectral`` compares sorted spectra directly (the oracle).
-* ``decide_grid`` compares the two entropy curves on GRID_POINTS uniform
-  nodes strictly inside (0, GRID_LIMIT).
+* ``decide_grid`` compares the two entropy curves on the 63 rows of
+  CURVE_GRID after 0, the weights 0.9 * j / 63, j = 1..63.
 * ``decide_nodes`` compares entropy at the 2n fixed mixing weights i/(2n),
   i = 1..2n, the finitary test.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _curve_entropies, entropy_of_spectrum
+from .entropy import CURVE_GRID, _curve_entropies, entropy_of_spectrum
 from .errors import DimensionMismatch
 from .states import QuantumState, Spectrum, validate_state
 
@@ -33,12 +33,6 @@ NOT_EQUIVALENT = "not_equivalent"
 # bits, and the sorted spectral distance, which every decider tests.
 ENTROPY_TOL = 1e-9
 SPECTRUM_TOL = 1e-8
-
-GRID_LIMIT = 0.9
-GRID_POINTS = 64
-# decide_grid's nodes: GRID_POINTS uniform weights strictly inside (0, GRID_LIMIT)
-_GRID_NODES = GRID_LIMIT * np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
-_GRID_NODES.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +152,15 @@ def decide_spectral(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport
 
 
 def decide_grid(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport:
-    """Equivalence by entropy-curve agreement on a dense interior grid.
+    """Equivalence by entropy-curve agreement on the library's curve grid.
 
-    Samples GRID_POINTS uniform nodes strictly inside (0, GRID_LIMIT):
-    lam_j = GRID_LIMIT * j / (GRID_POINTS + 1). Verdict is "equivalent"
-    iff every gap is at most ENTROPY_TOL and the sorted spectra agree
-    within SPECTRUM_TOL; a witness is then attached.
+    Compares the curves on CURVE_GRID's 63 rows after 0, the weights
+    lam_j = 0.9 * j / 63, j = 1..63, which are the rows the ``curve``
+    command writes and recovery samples (at 0 every curve reads log2 n).
+    Verdict is "equivalent" iff every gap is at most ENTROPY_TOL and the
+    sorted spectra agree within SPECTRUM_TOL; a witness is then attached.
     """
-    return _decide(rho, sigma, "grid", _GRID_NODES)
+    return _decide(rho, sigma, "grid", CURVE_GRID[1:])
 
 
 def decide_nodes(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport:

@@ -3,9 +3,11 @@
 The determinant of the depolarized state is a degree-n polynomial in the
 mixing weight whose base-2 log equals n * (lam * S' - S), where S is the
 entropy curve. Given only an oracle for S (and optionally S'), the
-pipeline samples that log-determinant at well-conditioned nodes, fits the
-polynomial by least squares on a Vandermonde system, extracts its roots
-through the companion matrix, and maps each root r back to an eigenvalue
+pipeline samples that log-determinant at the 63 rows of the library's
+curve grid after 0 (``CURVE_GRID``, the rows the ``curve`` command
+writes), fits the polynomial by least squares on a Vandermonde system over
+56 of those rows while holding out every 8th, extracts its roots through
+the companion matrix, and maps each root r back to an eigenvalue
 1/n - 1/(n r). Trailing coefficients below the trim threshold correspond
 to eigenvalues exactly equal to 1/n (their linear factors are constant)
 and are counted separately instead of being rooted.
@@ -19,16 +21,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .entropy import EntropyCurve
+from .entropy import CURVE_GRID, EntropyCurve
 from .errors import ComplexRoots, DegreeDeficit, IllConditioned
 from .states import Spectrum
 
 FIT_RESIDUAL_BOUND = 1e-3
-LAMBDA_MAX = 0.9
-VALIDATION_NODES = (0.15, 0.35, 0.55, 0.75)
 FD_STEP = 1e-6
 COEFF_TRIM_TOL = 1e-7
 ROOT_IMAG_TOL = 1e-6
+
+# which of the sampled grid rows j = 1..63 the fit holds out: j = 8, 16, ..., 56
+_HELD_OUT = np.arange(1, len(CURVE_GRID)) % 8 == 0
+_HELD_OUT.setflags(write=False)
+
+
+def _check_dimension(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"dimension must be a positive int, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +55,7 @@ class EntropyOracle:
     dimension: int
 
     def __post_init__(self):
-        if (isinstance(self.dimension, bool) or not isinstance(self.dimension, int)
-                or self.dimension < 1):
-            raise ValueError(f"dimension must be a positive int, got {self.dimension!r}")
+        _check_dimension(self.dimension)
 
 
 def oracle_from_spectrum(
@@ -60,23 +67,6 @@ def oracle_from_spectrum(
         derivative_fn=curve.derivative if include_derivative else None,
         dimension=spectrum.dimension,
     )
-
-
-def _chebyshev_nodes(count: int, low: float, high: float) -> np.ndarray:
-    """Chebyshev points mapped to [low, high], sorted ascending."""
-    k = np.arange(1, count + 1)
-    x = np.cos((2 * k - 1) * np.pi / (2 * count))
-    return np.sort(0.5 * (low + high) + 0.5 * (high - low) * x)
-
-
-def _fitting_nodes(n: int) -> np.ndarray:
-    """The n + 5 Chebyshev nodes on [0.1, LAMBDA_MAX] that the fit samples.
-
-    They keep the Vandermonde system well conditioned, clear of the
-    removable singularity at 0 and of weight 1, where the determinant
-    vanishes for rank-deficient states.
-    """
-    return _chebyshev_nodes(n + 5, 0.1, LAMBDA_MAX)
 
 
 @dataclass(frozen=True)
@@ -97,65 +87,70 @@ class RecoveredSpectrum:
 
 
 def sample_log2_determinant(oracle: EntropyOracle) -> np.ndarray:
-    """Sample the log2 determinant of the mixed state at the method's nodes.
+    """Sample the log2 determinant of the mixed state on the curve grid.
 
-    Returns n * (lam * S'(lam) - S(lam)) at the n + 5 fitting nodes, then at
-    the held-out VALIDATION_NODES, reading the oracle node by node in that
-    order. The derivative comes from ``derivative_fn`` when available,
-    otherwise from a central difference with step FD_STEP * lam; every node
-    lies in [0.1, LAMBDA_MAX], so both probe points stay inside (0, 1). A
-    non-finite sample raises IllConditioned: no fit can be trusted on it.
+    Returns n * (lam * S'(lam) - S(lam)) at the 63 rows of CURVE_GRID after
+    0, for every n, reading the oracle row by row in ascending order. The
+    derivative comes from ``derivative_fn`` when available, otherwise from
+    a central difference with step FD_STEP * lam; every row lies in
+    (0, 0.9], so both probe points stay inside (0, 1).
     """
     n = oracle.dimension
     log2_dets = []
-    for lam in (*_fitting_nodes(n).tolist(), *VALIDATION_NODES):
+    for lam in CURVE_GRID[1:].tolist():
         if oracle.derivative_fn is not None:
             derivative = oracle.derivative_fn(lam)
         else:
             h = FD_STEP * lam
             derivative = (oracle.value_fn(lam + h) - oracle.value_fn(lam - h)) / (2.0 * h)
-        log2_det = n * (lam * derivative - oracle.value_fn(lam))
-        if not math.isfinite(log2_det):
-            raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND)
-        log2_dets.append(log2_det)
+        log2_dets.append(n * (lam * derivative - oracle.value_fn(lam)))
     return np.array(log2_dets)
 
 
-def fit_determinant_polynomial(oracle: EntropyOracle) -> tuple[np.ndarray, float]:
-    """Least-squares fit of the degree-n determinant polynomial.
+def fit_determinant_polynomial(log2_dets: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Least-squares fit of the degree-n determinant polynomial to grid samples.
 
-    Reads the oracle in one pass (see sample_log2_determinant). Evaluates
-    2**(sampled log2 determinant) at the fitting nodes, solves the
-    Vandermonde least-squares system for the ascending coefficients of
-    degree 0..n, then pins the constant coefficient to its analytically
-    known value (1/n)^n. Returns the coefficient array and the validation
-    residual: the max log2-determinant mismatch at the held-out nodes, inf
-    if a prediction there is not positive. Raises IllConditioned when that
+    ``log2_dets`` holds the log2 determinant of a dimension-``n`` state at
+    the 63 rows of CURVE_GRID after 0, as sample_log2_determinant returns
+    it; another shape, or an ``n`` that is not a positive int, raises
+    ValueError. Evaluates 2**sample at the 56 rows that are not held out,
+    solves the Vandermonde least-squares system for the ascending
+    coefficients of degree 0..n, then pins the constant coefficient to its
+    analytically known value (1/n)^n. Returns the coefficient array and
+    the validation residual: the max log2-determinant mismatch at the 7
+    held-out rows (every 8th), inf if a prediction there is not positive.
+    Raises IllConditioned on a non-finite sample, when 2**sample
+    overflows, when a fitted coefficient is not finite, and when the
     residual exceeds FIT_RESIDUAL_BOUND, which signals a noisy or
-    inconsistent oracle rather than a fixable fit, when 2**sample
-    overflows, and when a fitted coefficient is not finite.
+    inconsistent oracle rather than a fixable fit.
     """
-    n = oracle.dimension
-    nodes = _fitting_nodes(n)
+    _check_dimension(n)
+    nodes = CURVE_GRID[1:]
+    log2_dets = np.asarray(log2_dets, dtype=np.float64)
+    if log2_dets.shape != nodes.shape:
+        raise ValueError(f"expected {len(nodes)} samples, one per grid row after 0, "
+                         f"got shape {log2_dets.shape}")
+    for log2_det in log2_dets.tolist():
+        if not math.isfinite(log2_det):
+            raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND)
 
-    log2_dets = sample_log2_determinant(oracle)
-    samples = np.empty(len(nodes))
-    for i, log2_det in enumerate(log2_dets[: len(nodes)].tolist()):
+    fit_rows = log2_dets[~_HELD_OUT].tolist()
+    samples = np.empty(len(fit_rows))
+    for i, log2_det in enumerate(fit_rows):
         try:
             samples[i] = 2.0 ** log2_det
         except OverflowError:  # no state's sample does: its log2 det is <= 0
             raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND) from None
-    vander = np.polynomial.polynomial.polyvander(nodes, n)
+    vander = np.polynomial.polynomial.polyvander(nodes[~_HELD_OUT], n)
     coeffs, _, _, _ = np.linalg.lstsq(vander, samples, rcond=None)
     if not np.all(np.isfinite(coeffs)):
         raise IllConditioned(math.inf, FIT_RESIDUAL_BOUND)
     coeffs[0] = (1.0 / n) ** n
 
-    predicted = np.polynomial.polynomial.polyval(VALIDATION_NODES, coeffs)
+    predicted = np.polynomial.polynomial.polyval(nodes[_HELD_OUT], coeffs)
     residual = math.inf
     if np.all(predicted > 0.0):
-        observed = log2_dets[len(nodes):]
-        residual = float(np.max(np.abs(np.log2(predicted) - observed)))
+        residual = float(np.max(np.abs(np.log2(predicted) - log2_dets[_HELD_OUT])))
     if not residual <= FIT_RESIDUAL_BOUND:
         raise IllConditioned(residual, FIT_RESIDUAL_BOUND)
     return coeffs, residual
@@ -164,7 +159,8 @@ def fit_determinant_polynomial(oracle: EntropyOracle) -> tuple[np.ndarray, float
 def recover_spectrum(oracle: EntropyOracle) -> RecoveredSpectrum:
     """Reconstruct the full sorted spectrum from the entropy oracle.
 
-    Fits the determinant polynomial (see fit_determinant_polynomial),
+    Samples the curve grid (see sample_log2_determinant), fits the
+    determinant polynomial to the samples (see fit_determinant_polynomial),
     trims trailing coefficients below COEFF_TRIM_TOL relative to the
     largest one (each trimmed degree is an eigenvalue exactly 1/n: a zero
     shift makes its factor the constant 1/n, lowering the polynomial
@@ -173,7 +169,7 @@ def recover_spectrum(oracle: EntropyOracle) -> RecoveredSpectrum:
     [0, 1], sorted descending, and renormalized to unit sum.
     """
     n = oracle.dimension
-    coeffs, residual = fit_determinant_polynomial(oracle)
+    coeffs, residual = fit_determinant_polynomial(sample_log2_determinant(oracle), n)
     kept = np.polynomial.polynomial.polytrim(
         coeffs, COEFF_TRIM_TOL * float(np.max(np.abs(coeffs)))
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyCurve, determinant_polynomial, entropy_of_spectrum
+from .entropy import CURVE_GRID, EntropyCurve, determinant_polynomial, entropy_of_spectrum
 from .equivalence import (
     ENTROPY_TOL,
     _sorted_distance,
@@ -30,14 +30,7 @@ from .equivalence import (
 )
 from .errors import EntrospecError
 from .matrixio import load_matrix, save_matrix
-from .recovery import (
-    LAMBDA_MAX,
-    EntropyOracle,
-    _chebyshev_nodes,
-    _fitting_nodes,
-    oracle_from_spectrum,
-    recover_spectrum,
-)
+from .recovery import _HELD_OUT, EntropyOracle, oracle_from_spectrum, recover_spectrum
 from .states import (
     QuantumState,
     Spectrum,
@@ -176,18 +169,17 @@ def _prop_product_degree_bound(rng):
             spec_b = random_state(n, rng).spectrum
             curve_a, curve_b = EntropyCurve(spec_a), EntropyCurve(spec_b)
             det_a, det_b = determinant_polynomial(spec_a), determinant_polynomial(spec_b)
-            ts = np.asarray(_chebyshev_nodes(2 * n + 3, 0.05, 0.95))
             gaps = np.array(
                 [curve_a.second_derivative(float(t)) - curve_b.second_derivative(float(t))
-                 for t in ts]
+                 for t in CURVE_GRID]
             )
             polyval = np.polynomial.polynomial.polyval
-            y = gaps * polyval(ts, det_a) * polyval(ts, det_b)
+            y = gaps * polyval(CURVE_GRID, det_a) * polyval(CURVE_GRID, det_b)
             scale = max(float(np.max(np.abs(y))), 1e-300)
-            vander = np.polynomial.polynomial.polyvander(ts, 2 * n - 2)
+            vander = np.polynomial.polynomial.polyvander(CURVE_GRID, 2 * n - 2)
             coeffs, _, _, _ = np.linalg.lstsq(vander, y, rcond=None)
             rel = float(np.max(np.abs(vander @ coeffs - y))) / scale
-            over = np.polynomial.polynomial.polyvander(ts, 2 * n)
+            over = np.polynomial.polynomial.polyvander(CURVE_GRID, 2 * n)
             over_coeffs, _, _, _ = np.linalg.lstsq(over, y, rcond=None)
             top = float(np.max(np.abs(over_coeffs[-2:])))
             worst = max(worst, rel, top)
@@ -332,7 +324,7 @@ def _noise_gain(spectrum: Spectrum) -> float:
     """
     n = spectrum.dimension
     poly = np.polynomial.polynomial
-    nodes = _fitting_nodes(n)
+    nodes = CURVE_GRID[1:][~_HELD_OUT]
     det = determinant_polynomial(spectrum)
     d_samples = poly.polyval(nodes, det) * np.log(2.0)
     d_coeffs = np.linalg.pinv(poly.polyvander(nodes, n)) * d_samples
@@ -346,6 +338,7 @@ def _noise_gain(spectrum: Spectrum) -> float:
 
 
 def _prop_recovery_noise_bound(rng):
+    lam_max = float(CURVE_GRID[-1])
     worst_ratio = 0.0
     worst_err = 0.0
     dims = (2, 3, 4, 5, 6, 2, 3, 4, 5, 6)
@@ -364,12 +357,12 @@ def _prop_recovery_noise_bound(rng):
             err = float(np.max(np.abs(recovered - truth)))
             # noise eps on S and on S' moves each sample n (lam S' - S) by
             # at most n (1 + lam) eps
-            bound = _noise_gain(state.spectrum) * n * (1.0 + LAMBDA_MAX) * eps
+            bound = _noise_gain(state.spectrum) * n * (1.0 + lam_max) * eps
             worst_err = max(worst_err, err)
             worst_ratio = max(worst_ratio, err / bound)
     return (
         worst_ratio <= 1.0, worst_err,
-        f"error stays below ||A||inf * n(1 + {LAMBDA_MAX}) * eps, A the first-order "
+        f"error stays below ||A||inf * n(1 + {lam_max}) * eps, A the first-order "
         f"gain from fitting samples to spectrum, for eps in (1e-10, 1e-8); "
         f"worst fraction of the bound {worst_ratio:.3f}",
     )

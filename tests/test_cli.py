@@ -8,9 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrospec import random_state, save_matrix, selftest
-from entrospec.cli import CURVE_LIMIT, CURVE_POINTS, main
-from entrospec.equivalence import ENTROPY_TOL, GRID_LIMIT, GRID_POINTS, SPECTRUM_TOL
+from entrospec import (
+    EntropyOracle,
+    decide_grid,
+    oracle_from_spectrum,
+    random_state,
+    recover_spectrum,
+    save_matrix,
+    selftest,
+    validate_state,
+)
+from entrospec.cli import main
+from entrospec.entropy import CURVE_GRID
+from entrospec.equivalence import ENTROPY_TOL, SPECTRUM_TOL
 from entrospec.errors import ParseError
 from entrospec.matrixio import load_matrix, parse_matrix_file
 
@@ -76,15 +86,14 @@ class TestCurveCommand:
         code, out, _ = run(capsys, ["curve", state, "--out", out_csv])
         assert code == 0
         summary = json.loads(out)
-        assert summary == {"n": 2, "points": CURVE_POINTS, "a": CURVE_LIMIT, "out": out_csv}
-        assert (CURVE_POINTS, CURVE_LIMIT) == (64, 0.9)
+        assert summary == {"n": 2, "points": 64, "a": 0.9, "out": out_csv}
 
         header, rows = read_csv(out_csv)
         assert header == "lambda,entropy_bits,f_prime,log2_p"
-        assert len(rows) == CURVE_POINTS
+        assert len(rows) == 64
         lams = [float(row[0]) for row in rows]
-        assert lams == [CURVE_LIMIT * j / (CURVE_POINTS - 1) for j in range(CURVE_POINTS)]
-        assert lams[0] == 0.0 and lams[-1] == CURVE_LIMIT
+        assert lams == [0.9 * j / 63 for j in range(64)] == CURVE_GRID.tolist()
+        assert lams[0] == 0.0 and lams[-1] == 0.9
         # log2_p is only defined for a positive weight
         assert rows[0][3] == ""
         assert all(row[3] != "" for row in rows[1:])
@@ -94,14 +103,14 @@ class TestCurveCommand:
         assert all(row[2] != "" for row in rows)
 
     def test_pure_state_has_every_derivative(self, tmp_path, capsys):
-        # at weight <= CURVE_LIMIT every mixed eigenvalue is at least
-        # (1 - CURVE_LIMIT) / n, so even a pure state's derivative is finite
+        # at weight <= 0.9 every mixed eigenvalue is at least 0.1 / n, so
+        # even a pure state's derivative is finite
         state = write_state(tmp_path, "pure.json", np.diag([1.0, 0.0, 0.0]))
         out_csv = str(tmp_path / "curve.csv")
         code, _, _ = run(capsys, ["curve", state, "--out", out_csv])
         assert code == 0
         _, rows = read_csv(out_csv)
-        assert len(rows) == CURVE_POINTS
+        assert len(rows) == 64
         assert all(math.isfinite(float(row[2])) for row in rows)
         assert rows[0][3] == ""
         assert all(math.isfinite(float(row[3])) for row in rows[1:])
@@ -112,7 +121,7 @@ class TestCurveCommand:
         code, _, _ = run(capsys, ["curve", state, "--out", out_csv])
         assert code == 0
         _, rows = read_csv(out_csv)
-        assert len(rows) == CURVE_POINTS
+        assert len(rows) == 64
         assert all(abs(float(row[1]) - 1.0) <= 1e-15 for row in rows)
 
     @pytest.mark.parametrize("flags", [["--a", "0.0"], ["--a", "1.2"], ["--points", "1"]])
@@ -129,6 +138,33 @@ class TestCurveCommand:
         state = write_state(tmp_path, "s.json", np.eye(2) / 2)
         code, _, _ = run(capsys, ["curve", state])
         assert code == 1
+
+
+def test_curve_t1_and_recovery_read_one_grid(tmp_path, capsys):
+    # the curve CSV's weights after row 0, the weights of t1's gaps and the
+    # weights recovery queries are the same 63 floats, bit for bit
+    matrix = np.diag([0.5, 0.3, 0.2])
+    out_csv = str(tmp_path / "curve.csv")
+    code, _, _ = run(capsys, ["curve", write_state(tmp_path, "s.json", matrix), "--out", out_csv])
+    assert code == 0
+    _, rows = read_csv(out_csv)
+    curve = np.array([float(row[0]) for row in rows[1:]])
+
+    state = validate_state(matrix)
+    t1 = np.array([lam for lam, _ in decide_grid(state, state).per_node_gaps])
+
+    base = oracle_from_spectrum(state.spectrum)
+    queried = []
+
+    def value(lam):
+        queried.append(lam)
+        return base.value_fn(lam)
+
+    recover_spectrum(EntropyOracle(value, base.derivative_fn, 3))
+    recovery = np.array(queried)
+
+    assert curve.shape == (63,)
+    assert curve.tobytes() == t1.tobytes() == recovery.tobytes()
 
 
 class TestEquivCommand:
@@ -156,8 +192,7 @@ class TestEquivCommand:
         assert payload["entropy_tol"] == ENTROPY_TOL
         assert payload["spectrum_tol"] == SPECTRUM_TOL
         nodes = [lam for lam, _ in payload["per_node_gaps"]]
-        assert len(nodes) == GRID_POINTS
-        assert nodes[-1] < GRID_LIMIT
+        assert nodes == [0.9 * j / 63 for j in range(1, 64)]
 
     @pytest.mark.parametrize("mode", ["spectral", "t1", "t2"])
     def test_all_modes_agree_on_equivalent_pair(self, tmp_path, capsys, mode):
@@ -196,7 +231,7 @@ class TestEquivCommand:
 
     @pytest.mark.parametrize("flag", ["--a", "--points", "--entropy-tol", "--spectrum-tol"])
     def test_grid_flags_exit_1(self, tmp_path, capsys, flag):
-        # t1's grid is fixed: GRID_POINTS weights inside (0, GRID_LIMIT), and
+        # t1's grid is fixed: the 63 weights 0.9 j / 63, j = 1..63, and
         # the verdict rule's tolerances are ENTROPY_TOL and SPECTRUM_TOL
         a = write_state(tmp_path, "a.json", np.eye(2) / 2)
         code, out, err = run(capsys, ["equiv", a, a, "--mode", "t1", flag, "8"])

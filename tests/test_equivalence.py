@@ -16,14 +16,8 @@ from entrospec import (
     random_unitary,
     validate_state,
 )
-from entrospec.equivalence import (
-    ENTROPY_TOL,
-    GRID_LIMIT,
-    GRID_POINTS,
-    SPECTRUM_TOL,
-    _GRID_NODES,
-    _decide,
-)
+from entrospec.entropy import CURVE_GRID
+from entrospec.equivalence import ENTROPY_TOL, SPECTRUM_TOL, _decide
 from entrospec.errors import DimensionMismatch
 
 from conftest import conjugate, diag_state
@@ -73,13 +67,14 @@ class TestDecideGrid:
         assert report.method == "grid"
         assert report.max_entropy_gap <= 1e-12
         assert report.witness is not None
-        assert len(report.per_node_gaps) == 64
+        assert len(report.per_node_gaps) == 63
 
     def test_grid_stays_inside_open_interval(self, rng):
         state = random_state(2, rng)
         report = decide_grid(state, state)
         lams = [lam for lam, _ in report.per_node_gaps]
-        assert 0.0 < min(lams) and max(lams) < 0.9
+        # the grid's rows after 0, so inside (0, 1) with its last row at 0.9
+        assert 0.0 < min(lams) and max(lams) == 0.9 < 1.0
 
     def test_pure_vs_mixed_gap(self):
         report = decide_grid(diag_state(1.0, 0.0), diag_state(0.5, 0.5))
@@ -344,13 +339,15 @@ def _degenerate_state(n, rng):
 
 
 def test_grid_nodes_are_a_read_only_constant():
-    expected = np.array([GRID_LIMIT * j / (GRID_POINTS + 1) for j in range(1, GRID_POINTS + 1)])
-    assert _GRID_NODES.tobytes() == expected.tobytes()
-    with pytest.raises(ValueError):
-        _GRID_NODES[0] = 0.5
+    # t1 compares on the curve grid's 63 rows after 0
+    expected = np.array([0.9 * j / 63 for j in range(64)])
+    assert CURVE_GRID.tobytes() == expected.tobytes()
+    for grid in (CURVE_GRID, CURVE_GRID[1:]):
+        with pytest.raises(ValueError):
+            grid[0] = 0.5
     state = random_state(3, np.random.default_rng(0))
     tested = np.array([lam for lam, _ in decide_grid(state, state).per_node_gaps])
-    assert tested.tobytes() == expected.tobytes()
+    assert tested.tobytes() == expected[1:].tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -360,7 +357,7 @@ def test_fused_curve_pass_is_bitwise_two_curve_passes(n, rng):
     states = [random_state(n, rng), _degenerate_state(n, rng)]
     states += [_low_rank_state(n, rank, rng) for rank in (1, 2, 3) if rank <= n]
     states.append(conjugate(states[0], random_unitary(n, rng)))
-    for nodes in (default_nodes(n), _GRID_NODES):
+    for nodes in (default_nodes(n), CURVE_GRID[1:]):
         for a in states:
             for b in states:
                 report = _decide(a, b, "nodes", nodes)

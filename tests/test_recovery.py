@@ -15,28 +15,35 @@ from entrospec import (
     recover_spectrum,
     sample_log2_determinant,
 )
+from entrospec.entropy import CURVE_GRID
 from entrospec.errors import ComplexRoots, DegreeDeficit, IllConditioned
-from entrospec.recovery import VALIDATION_NODES, _fitting_nodes
 
 from conftest import diag_state
 
+# recovery samples the curve grid's rows j = 1..63 and holds out j = 8, 16, ..., 56
+ROWS = CURVE_GRID[1:]
+HELD_OUT = CURVE_GRID[8:57:8]
+
+
+def _fit(oracle):
+    return fit_determinant_polynomial(sample_log2_determinant(oracle), oracle.dimension)
+
 
 def _direct_determinant_error(include_derivative):
-    # sampled log2 determinant vs the expanded polynomial at every node
+    # sampled log2 determinant vs the expanded polynomial at every grid row
     spectrum = diag_state(0.4, 0.3, 0.2, 0.1).spectrum
     samples = sample_log2_determinant(oracle_from_spectrum(spectrum, include_derivative))
-    nodes = np.array((*_fitting_nodes(4), *VALIDATION_NODES))
-    direct = np.log2(polyval(nodes, determinant_polynomial(spectrum)))
+    direct = np.log2(polyval(ROWS, determinant_polynomial(spectrum)))
     return float(np.max(np.abs(samples - direct)))
 
 
 class TestSampleLog2Determinant:
-    """One sample per node: the n + 5 fitting nodes, then the held-out nodes."""
+    """One sample per grid row after 0, in ascending order, for every n."""
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_one_sample_per_node(self, n, rng):
         samples = sample_log2_determinant(oracle_from_spectrum(random_state(n, rng).spectrum))
-        assert samples.shape == (n + 9,)
+        assert samples.shape == (63,)
         assert samples.dtype == np.float64
 
     def test_maximally_mixed_is_constant(self):
@@ -56,12 +63,12 @@ class TestSampleLog2Determinant:
             sample_log2_determinant(oracle, 0.5)
 
 
-class TestDefaultRecoveryConfig:
-    """The default fitting nodes and the oracle's dimension check."""
+class TestGridRowsAndDimension:
+    """The sampled grid rows and the dimension check of the oracle and the fit."""
 
     def test_node_layout(self):
-        # with an analytic derivative the fit queries it once per node:
-        # n + 5 fitting nodes in [0.1, 0.9], then the held-out nodes
+        # with an analytic derivative, recovery queries it once per row:
+        # the grid's 63 rows after 0, ascending, the held-out ones included
         base = oracle_from_spectrum(diag_state(0.4, 0.3, 0.2, 0.1).spectrum)
         queried = []
 
@@ -69,49 +76,55 @@ class TestDefaultRecoveryConfig:
             queried.append(lam)
             return base.derivative_fn(lam)
 
-        fit_determinant_polynomial(EntropyOracle(base.value_fn, derivative, 4))
-        nodes, held_out = queried[:9], queried[9:]
-        assert all(0.1 <= x <= 0.9 for x in nodes)
-        assert all(b > a for a, b in zip(nodes, nodes[1:]))
-        assert tuple(held_out) == VALIDATION_NODES
+        recover_spectrum(EntropyOracle(base.value_fn, derivative, 4))
+        assert queried == ROWS.tolist() == [0.9 * j / 63 for j in range(1, 64)]
+        assert set(HELD_OUT.tolist()) <= set(queried) and len(HELD_OUT) == 7
 
     def test_nodes_are_not_a_parameter(self):
-        # the fitting nodes are fixed by the method, not passed in
+        # the grid is fixed by the method, not passed in, and the fit takes
+        # samples, not an oracle
         oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
-        for call in (recover_spectrum, fit_determinant_polynomial):
-            with pytest.raises(TypeError):
-                call(oracle, nodes=(0.2, 0.4, 0.6))
+        samples = sample_log2_determinant(oracle)
+        with pytest.raises(TypeError):
+            recover_spectrum(oracle, nodes=(0.2, 0.4, 0.6))
+        with pytest.raises(TypeError):
+            fit_determinant_polynomial(samples, 2, nodes=(0.2, 0.4, 0.6))
+        with pytest.raises(TypeError):
+            fit_determinant_polynomial(oracle)
 
     def test_rejects_nonpositive_dimension(self):
         # unchecked, 0 divides by zero in the fit and True runs as n = 1
+        samples = sample_log2_determinant(oracle_from_spectrum(diag_state(1.0).spectrum))
         for dimension in (0, -1, True, 2.0):
             with pytest.raises(ValueError, match="dimension"):
                 EntropyOracle(lambda lam: 0.0, None, dimension)
+            with pytest.raises(ValueError, match="dimension"):
+                fit_determinant_polynomial(samples, dimension)
 
 
 class TestFitDeterminantPolynomial:
     def test_maximally_mixed_fits_constant(self):
         oracle = oracle_from_spectrum(diag_state(*[0.25] * 4).spectrum)
-        coeffs, residual = fit_determinant_polynomial(oracle)
+        coeffs, residual = _fit(oracle)
         assert coeffs[0] == (1.0 / 4.0) ** 4
         assert np.max(np.abs(coeffs[1:])) <= 1e-9
         assert residual <= 1e-9
 
     def test_hand_expanded_coefficients(self):
         oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
-        coeffs, _ = fit_determinant_polynomial(oracle)
+        coeffs, _ = _fit(oracle)
         np.testing.assert_allclose(coeffs, (0.25, 0.0, -0.0625), atol=1e-8)
 
     def test_constant_coefficient_is_pinned(self, rng):
         state = random_state(5, rng)
-        coeffs, _ = fit_determinant_polynomial(oracle_from_spectrum(state.spectrum))
+        coeffs, _ = _fit(oracle_from_spectrum(state.spectrum))
         assert coeffs[0] == (1.0 / 5.0) ** 5
 
     def test_roundtrip_against_direct_expansion(self, rng):
         for n in range(2, 7):
             spectrum = random_state(n, rng).spectrum
             direct = determinant_polynomial(spectrum)
-            fitted, residual = fit_determinant_polynomial(oracle_from_spectrum(spectrum))
+            fitted, residual = _fit(oracle_from_spectrum(spectrum))
             assert fitted.shape == direct.shape == (n + 1,)
             np.testing.assert_allclose(fitted, direct, atol=1e-8)
             assert residual <= 1e-8
@@ -128,12 +141,12 @@ class TestFitDeterminantPolynomial:
             dimension=3,
         )
         with pytest.raises(IllConditioned) as info:
-            fit_determinant_polynomial(corrupt)
+            _fit(corrupt)
         assert info.value.residual > 1e-3
 
     def test_nonpositive_prediction_is_rejected(self):
-        # a bump on (0.3, 0.4) pulls the fit to -0.148 at the held-out node
-        # 0.35, where the log of the prediction is undefined
+        # a bump on (0.3, 0.4) pulls the fit to -0.051 at the held-out row
+        # 0.9 * 24 / 63 = 0.343, where the log of the prediction is undefined
         oracle = EntropyOracle(
             value_fn=lambda lam: 40.0 if 0.3 < lam < 0.4 else 0.0,
             derivative_fn=lambda lam: 0.0,
@@ -142,12 +155,40 @@ class TestFitDeterminantPolynomial:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditioned) as info:
-                fit_determinant_polynomial(oracle)
+                _fit(oracle)
         assert info.value.residual == math.inf
+
+    def test_fits_every_row_but_the_held_out_ones(self):
+        # a change at a held-out row moves only the residual; a change at
+        # any other row moves the coefficients
+        samples = sample_log2_determinant(oracle_from_spectrum(diag_state(0.6, 0.3, 0.1).spectrum))
+        coeffs, residual = fit_determinant_polynomial(samples, 3)
+        for row in range(63):
+            nudged = samples.copy()
+            nudged[row] += 1e-6
+            got, got_residual = fit_determinant_polynomial(nudged, 3)
+            held_out = (row + 1) % 8 == 0
+            assert np.array_equal(got, coeffs) == held_out
+            assert (got_residual > residual + 5e-7) == held_out
+
+    def test_rejects_a_sample_array_of_another_shape(self):
+        samples = sample_log2_determinant(oracle_from_spectrum(diag_state(0.75, 0.25).spectrum))
+        for bad in (samples[:-1], samples[:13], samples.reshape(7, 9)):
+            with pytest.raises(ValueError, match="63 samples"):
+                fit_determinant_polynomial(bad, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_sample(self, bad):
+        samples = sample_log2_determinant(oracle_from_spectrum(diag_state(0.75, 0.25).spectrum))
+        for row in (0, 7, 62):
+            corrupt = samples.copy()
+            corrupt[row] = bad
+            with pytest.raises(IllConditioned):
+                fit_determinant_polynomial(corrupt, 2)
 
 
 class TestOneOraclePass:
-    """The fit reads the oracle once: every fitting node, then the held-out nodes."""
+    """Recovery reads the oracle once, at every grid row after 0, ascending."""
 
     @pytest.mark.parametrize("include_derivative", [True, False])
     def test_query_order(self, include_derivative):
@@ -159,16 +200,17 @@ class TestOneOraclePass:
             return base.value_fn(lam)
 
         oracle = EntropyOracle(value, base.derivative_fn, 4)
-        fit_determinant_polynomial(oracle)
-        expected = (*_fitting_nodes(4).tolist(), *VALIDATION_NODES)
+        recover_spectrum(oracle)
+        expected = ROWS.tolist()
         # a finite-difference sample reads lam + h, lam - h, then lam itself
         step = 1 if include_derivative else 3
         assert len(queried) == step * len(expected)
-        assert tuple(queried[step - 1::step]) == expected
+        assert queried[step - 1::step] == expected
 
     def test_nonpositive_prediction_still_reads_every_held_out_node(self):
-        # the bump oracle of test_nonpositive_prediction_is_rejected: its fit
-        # is negative at 0.35, and the nodes after it are read all the same
+        # the bump oracle of test_nonpositive_prediction_is_rejected, aimed at
+        # the held-out row 0.343: its fit is negative there, and every row,
+        # each held-out one included, is read once before the fit
         queried = []
 
         def value(lam):
@@ -176,10 +218,11 @@ class TestOneOraclePass:
             return 40.0 if 0.3 < lam < 0.4 else 0.0
 
         with pytest.raises(IllConditioned) as info:
-            fit_determinant_polynomial(EntropyOracle(value, lambda lam: 0.0, 2))
+            recover_spectrum(EntropyOracle(value, lambda lam: 0.0, 2))
         assert info.value.residual == math.inf
-        assert tuple(queried[-len(VALIDATION_NODES):]) == VALIDATION_NODES
-        assert all(queried.count(lam) == 1 for lam in VALIDATION_NODES)
+        assert 0.3 < HELD_OUT[2] < 0.4
+        assert queried == ROWS.tolist()
+        assert all(queried.count(lam) == 1 for lam in HELD_OUT.tolist())
 
 
 class TestRecoverSpectrum:
@@ -248,7 +291,7 @@ class TestRecoverSpectrum:
 
     def test_nan_at_validation_nodes_is_rejected(self, rng):
         base = oracle_from_spectrum(random_state(4, rng).spectrum)
-        held_out = set(VALIDATION_NODES)
+        held_out = set(HELD_OUT.tolist())
         oracle = EntropyOracle(
             value_fn=lambda lam: math.nan if lam in held_out else base.value_fn(lam),
             derivative_fn=base.derivative_fn,
