@@ -107,14 +107,14 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     state = _load_state(args.state_file)
     curve = EntropyCurve(state.spectrum)
 
-    rows = []
-    for lam in CURVE_GRID.tolist():
-        log2_det = repr(curve.log2_determinant(lam)) if lam > 0.0 else ""
-        rows.append((repr(lam), repr(curve.value(lam)), repr(curve.derivative(lam)), log2_det))
+    # the log determinant is undefined at row 0, weight 0: its cell is empty
+    columns = (CURVE_GRID, curve.value(CURVE_GRID), curve.derivative(CURVE_GRID))
+    cells = [list(map(repr, column.tolist())) for column in columns]
+    cells.append([""] + list(map(repr, curve.log2_determinant(CURVE_GRID[1:]).tolist())))
 
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write("lambda,entropy_bits,f_prime,log2_p\n")
-        for row in rows:
+        for row in zip(*cells):
             handle.write(",".join(row) + "\n")
 
     _emit(

@@ -58,6 +58,20 @@ def entropy_of_spectrum(spectrum: Spectrum) -> float:
     return float(_entropy_bits(spectrum.as_array()))
 
 
+def _weights(lam: float | np.ndarray, open_interval: bool = False) -> np.ndarray:
+    """A weight or an array of weights as float64, each checked to lie in [0, 1] or (0, 1)."""
+    lams = np.asarray(lam, dtype=np.float64)
+    inside = (lams > 0.0) & (lams < 1.0) if open_interval else (lams >= 0.0) & (lams <= 1.0)
+    if not inside.all():
+        raise LambdaOutOfRange(float(lams[~inside][0]), "(0, 1)" if open_interval else "[0, 1]")
+    return lams
+
+
+def _like(lam: float | np.ndarray, result: np.ndarray) -> float | np.ndarray:
+    """A float for a scalar weight, else the array, one entry per weight."""
+    return float(result) if np.ndim(lam) == 0 else result
+
+
 @dataclass(frozen=True)
 class EntropyCurve:
     """Evaluator for the entropy of one state's depolarized family.
@@ -66,7 +80,10 @@ class EntropyCurve:
     ``lam`` toward maximal mixedness; ``derivative`` and
     ``second_derivative`` are its closed-form first and second derivatives
     in ``lam``; ``log2_determinant`` is the base-2 log determinant of the
-    mixed state, defined on the open interval (0, 1).
+    mixed state, defined on the open interval (0, 1). Each method maps a
+    float to a float, or a float64 array of weights to an array of that
+    shape, bit-equal entry by entry; the first weight outside the domain
+    raises LambdaOutOfRange.
     """
 
     spectrum: Spectrum
@@ -75,37 +92,28 @@ class EntropyCurve:
     def dimension(self) -> int:
         return self.spectrum.dimension
 
-    def _mixed_eigenvalues(self, lam: float) -> np.ndarray:
-        if not 0.0 <= lam <= 1.0:
-            raise LambdaOutOfRange(lam, "[0, 1]")
-        return lam * self.spectrum.shifted() + 1.0 / self.dimension
-
-    def value(self, lam: float) -> float:
+    def value(self, lam: float | np.ndarray) -> float | np.ndarray:
         """Entropy in bits at mixing weight lam, for lam in [0, 1]."""
-        return float(_entropy_bits(self._mixed_eigenvalues(lam)))
+        return _like(lam, _curve_entropies(_weights(lam), self.spectrum.shifted()))
 
-    def derivative(self, lam: float) -> float:
+    def derivative(self, lam: float | np.ndarray) -> float | np.ndarray:
         """First derivative: -sum_i u_i log2(lam * u_i + 1/n).
 
         The mixed eigenvalues stay positive for lam < 1, so the only
         singular point is lam = 1 on a rank-deficient state.
         """
-        w = self._positive_mixed_eigenvalues(lam, "entropy curve derivative")
-        u = self.spectrum.shifted()
-        return float(-(u * np.log2(w)).sum())
+        u, w = self._positive_mixed_eigenvalues(lam, "entropy curve derivative")
+        return _like(lam, -(u * np.log2(w)).sum(axis=-1))
 
-    def second_derivative(self, lam: float) -> float:
+    def second_derivative(self, lam: float | np.ndarray) -> float | np.ndarray:
         """Second derivative: -sum_i u_i^2 / (ln2 * (lam * u_i + 1/n)).
 
         Nonpositive everywhere: entropy is concave along the mixing line.
         """
-        w = self._positive_mixed_eigenvalues(
-            lam, "entropy curve second derivative"
-        )
-        u = self.spectrum.shifted()
-        return float(-(u * u / w).sum() / _LN2)
+        u, w = self._positive_mixed_eigenvalues(lam, "entropy curve second derivative")
+        return _like(lam, -(u * u / w).sum(axis=-1) / _LN2)
 
-    def log2_determinant(self, lam: float) -> float:
+    def log2_determinant(self, lam: float | np.ndarray) -> float | np.ndarray:
         """Base-2 log of det of the mixed state, for lam in (0, 1).
 
         Computed as n * (lam * derivative - value), which is algebraically
@@ -114,16 +122,17 @@ class EntropyCurve:
         this method the reference implementation of what the recovery
         pipeline samples from a black-box oracle.
         """
-        if not 0.0 < lam < 1.0:
-            raise LambdaOutOfRange(lam, "(0, 1)")
-        n = self.dimension
-        return n * (lam * self.derivative(lam) - self.value(lam))
+        lams = _weights(lam, open_interval=True)
+        return _like(lam, self.dimension * (lams * self.derivative(lams) - self.value(lams)))
 
-    def _positive_mixed_eigenvalues(self, lam: float, what: str) -> np.ndarray:
-        w = self._mixed_eigenvalues(lam)
-        if (w <= 0.0).any():
-            raise SingularEndpoint(lam, what)
-        return w
+    def _positive_mixed_eigenvalues(self, lam, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """The shifts and the mixed eigenvalues, one row per weight, all positive."""
+        lams, u = _weights(lam), self.spectrum.shifted()
+        w = np.multiply.outer(lams, u) + 1.0 / self.dimension
+        singular = (w <= 0.0).any(axis=-1)
+        if singular.any():
+            raise SingularEndpoint(float(lams[singular][0]), what)
+        return u, w
 
 
 def determinant_polynomial(spectrum: Spectrum) -> np.ndarray:

@@ -156,12 +156,12 @@ def test_curve_t1_and_recovery_read_one_grid(tmp_path, capsys):
     base = oracle_from_spectrum(state.spectrum)
     queried = []
 
-    def value(lam):
-        queried.append(lam)
-        return base.value_fn(lam)
+    def value(lams):
+        queried.append(lams.copy())
+        return base.value_fn(lams)
 
     recover_spectrum(EntropyOracle(value, base.derivative_fn, 3))
-    recovery = np.array(queried)
+    (recovery,) = queried
 
     assert curve.shape == (63,)
     assert curve.tobytes() == t1.tobytes() == recovery.tobytes()

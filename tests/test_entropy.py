@@ -12,7 +12,7 @@ from entrospec import (
     random_state,
     validate_state,
 )
-from entrospec.entropy import _curve_entropies
+from entrospec.entropy import CURVE_GRID, _curve_entropies
 from entrospec.errors import LambdaOutOfRange, SingularEndpoint
 
 from conftest import diag_state
@@ -125,6 +125,35 @@ class TestEntropyCurveValues:
             expected = np.array([curve.value(float(lam)) for lam in lams])
             got = _curve_entropies(lams, spectrum.shifted())
             assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+class TestArrayWeights:
+    """Each curve method takes an array of weights and answers entry by entry."""
+
+    METHODS = ("value", "derivative", "second_derivative", "log2_determinant")
+
+    def test_array_matches_float_and_checks_every_weight(self, rng):
+        spectra = [random_state(n, rng).spectrum for n in (1, 2, 3, 7, 8, 9, 16, 24)]
+        spectra += [_low_rank_spectrum(n, r, rng) for n, r in ((2, 1), (9, 3), (16, 15))]
+        spectra += [Spectrum(values=(0.4, 0.4, 0.2, 0.0)), Spectrum(values=(0.25,) * 4)]
+        for lams in (CURVE_GRID[1:], rng.uniform(0.0, 1.0, (3, 7))):
+            for spectrum in spectra:
+                curve = EntropyCurve(spectrum)
+                for method in self.METHODS:
+                    got = getattr(curve, method)(lams)
+                    expected = [getattr(curve, method)(lam) for lam in lams.ravel().tolist()]
+                    assert got.shape == lams.shape and got.dtype == np.float64
+                    assert got.ravel().tobytes() == np.array(expected).tobytes()
+
+        curve = EntropyCurve(Spectrum(values=(1.0, 0.0)))
+        for method in self.METHODS:
+            bad = 0.0 if method == "log2_determinant" else 1.5
+            with pytest.raises(LambdaOutOfRange) as info:
+                getattr(curve, method)(np.array([0.2, bad, -0.1, 0.5]))
+            assert info.value.lam == bad
+        with pytest.raises(SingularEndpoint) as info:
+            curve.derivative(np.array([0.3, 0.9, 1.0]))
+        assert info.value.lam == 1.0
 
 
 class TestPowerSumExpansion:

@@ -17,12 +17,18 @@ from entrospec import (
 )
 from entrospec.entropy import CURVE_GRID
 from entrospec.errors import ComplexRoots, DegreeDeficit, IllConditioned
+from entrospec.recovery import FD_STEP
 
 from conftest import diag_state
 
 # recovery samples the curve grid's rows j = 1..63 and holds out j = 8, 16, ..., 56
 ROWS = CURVE_GRID[1:]
 HELD_OUT = CURVE_GRID[8:57:8]
+
+
+def _bump(lams):
+    # 40 bits on (0.3, 0.4), 0 elsewhere: no entropy curve looks like this
+    return np.where((0.3 < lams) & (lams < 0.4), 40.0, 0.0)
 
 
 def _fit(oracle):
@@ -67,18 +73,19 @@ class TestGridRowsAndDimension:
     """The sampled grid rows and the dimension check of the oracle and the fit."""
 
     def test_node_layout(self):
-        # with an analytic derivative, recovery queries it once per row:
-        # the grid's 63 rows after 0, ascending, the held-out ones included
+        # with an analytic derivative, recovery queries it once on every
+        # row: the grid's 63 rows after 0, ascending, the held-out ones included
         base = oracle_from_spectrum(diag_state(0.4, 0.3, 0.2, 0.1).spectrum)
         queried = []
 
-        def derivative(lam):
-            queried.append(lam)
-            return base.derivative_fn(lam)
+        def derivative(lams):
+            queried.append(lams.copy())
+            return base.derivative_fn(lams)
 
         recover_spectrum(EntropyOracle(base.value_fn, derivative, 4))
-        assert queried == ROWS.tolist() == [0.9 * j / 63 for j in range(1, 64)]
-        assert set(HELD_OUT.tolist()) <= set(queried) and len(HELD_OUT) == 7
+        (rows,) = queried
+        assert rows.tolist() == ROWS.tolist() == [0.9 * j / 63 for j in range(1, 64)]
+        assert set(HELD_OUT.tolist()) <= set(rows.tolist()) and len(HELD_OUT) == 7
 
     def test_nodes_are_not_a_parameter(self):
         # the grid is fixed by the method, not passed in, and the fit takes
@@ -135,9 +142,9 @@ class TestFitDeterminantPolynomial:
         spectrum = random_state(3, rng).spectrum
         base = oracle_from_spectrum(spectrum)
         corrupt = EntropyOracle(
-            value_fn=lambda lam: base.value_fn(lam) + 0.01 * math.sin(40.0 * lam),
-            derivative_fn=lambda lam: base.derivative_fn(lam)
-            + 0.4 * math.cos(40.0 * lam),
+            value_fn=lambda lams: base.value_fn(lams) + 0.01 * np.sin(40.0 * lams),
+            derivative_fn=lambda lams: base.derivative_fn(lams)
+            + 0.4 * np.cos(40.0 * lams),
             dimension=3,
         )
         with pytest.raises(IllConditioned) as info:
@@ -147,11 +154,7 @@ class TestFitDeterminantPolynomial:
     def test_nonpositive_prediction_is_rejected(self):
         # a bump on (0.3, 0.4) pulls the fit to -0.051 at the held-out row
         # 0.9 * 24 / 63 = 0.343, where the log of the prediction is undefined
-        oracle = EntropyOracle(
-            value_fn=lambda lam: 40.0 if 0.3 < lam < 0.4 else 0.0,
-            derivative_fn=lambda lam: 0.0,
-            dimension=2,
-        )
+        oracle = EntropyOracle(value_fn=_bump, derivative_fn=np.zeros_like, dimension=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditioned) as info:
@@ -183,46 +186,53 @@ class TestFitDeterminantPolynomial:
         for row in (0, 7, 62):
             corrupt = samples.copy()
             corrupt[row] = bad
-            with pytest.raises(IllConditioned):
+            # the error names the first non-finite sample, not a later one
+            corrupt[row + 1:] = math.nan
+            with pytest.raises(IllConditioned) as info:
                 fit_determinant_polynomial(corrupt, 2)
+            assert repr(info.value.residual) == repr(bad)
 
 
 class TestOneOraclePass:
-    """Recovery reads the oracle once, at every grid row after 0, ascending."""
+    """Recovery calls each oracle callable once, on every grid row after 0."""
+
+    @staticmethod
+    def _recording(fn, calls):
+        def recorded(lams):
+            calls.append(lams.copy())
+            return fn(lams)
+
+        return recorded
 
     @pytest.mark.parametrize("include_derivative", [True, False])
     def test_query_order(self, include_derivative):
+        # 2 calls with the analytic derivative; with finite differences, 3
+        # value calls: every row plus its step, minus it, then the rows
         base = oracle_from_spectrum(diag_state(0.4, 0.3, 0.2, 0.1).spectrum, include_derivative)
-        queried = []
-
-        def value(lam):
-            queried.append(lam)
-            return base.value_fn(lam)
-
-        oracle = EntropyOracle(value, base.derivative_fn, 4)
-        recover_spectrum(oracle)
-        expected = ROWS.tolist()
-        # a finite-difference sample reads lam + h, lam - h, then lam itself
-        step = 1 if include_derivative else 3
-        assert len(queried) == step * len(expected)
-        assert queried[step - 1::step] == expected
+        values, derivatives = [], []
+        derivative_fn = None
+        if include_derivative:
+            derivative_fn = self._recording(base.derivative_fn, derivatives)
+        recover_spectrum(EntropyOracle(self._recording(base.value_fn, values), derivative_fn, 4))
+        assert len(values) + len(derivatives) == (2 if include_derivative else 3)
+        h = FD_STEP * ROWS
+        probes = [ROWS] if include_derivative else [ROWS + h, ROWS - h, ROWS]
+        assert [v.tobytes() for v in values] == [p.tobytes() for p in probes]
+        expected = [ROWS.tobytes()] if include_derivative else []
+        assert [d.tobytes() for d in derivatives] == expected
 
     def test_nonpositive_prediction_still_reads_every_held_out_node(self):
         # the bump oracle of test_nonpositive_prediction_is_rejected, aimed at
         # the held-out row 0.343: its fit is negative there, and every row,
         # each held-out one included, is read once before the fit
-        queried = []
-
-        def value(lam):
-            queried.append(lam)
-            return 40.0 if 0.3 < lam < 0.4 else 0.0
-
+        values = []
         with pytest.raises(IllConditioned) as info:
-            recover_spectrum(EntropyOracle(value, lambda lam: 0.0, 2))
+            recover_spectrum(EntropyOracle(self._recording(_bump, values), np.zeros_like, 2))
         assert info.value.residual == math.inf
         assert 0.3 < HELD_OUT[2] < 0.4
-        assert queried == ROWS.tolist()
-        assert all(queried.count(lam) == 1 for lam in HELD_OUT.tolist())
+        (rows,) = values
+        assert rows.tolist() == ROWS.tolist()
+        assert all(rows.tolist().count(lam) == 1 for lam in HELD_OUT.tolist())
 
 
 class TestRecoverSpectrum:
@@ -263,8 +273,8 @@ class TestRecoverSpectrum:
         # synthetic oracle whose exact determinant polynomial is
         # 1/4 + lam^2/16, with roots at +-2i
         oracle = EntropyOracle(
-            value_fn=lambda lam: -0.5 * math.log2(0.25 + 0.0625 * lam * lam),
-            derivative_fn=lambda lam: 0.0,
+            value_fn=lambda lams: -0.5 * np.log2(0.25 + 0.0625 * lams * lams),
+            derivative_fn=np.zeros_like,
             dimension=2,
         )
         with pytest.raises(ComplexRoots) as info:
@@ -275,25 +285,26 @@ class TestRecoverSpectrum:
         # NaN fails every comparison, so without an explicit check it
         # passes the residual bound and the coefficient trim and comes
         # back as the flat spectrum
-        oracle = EntropyOracle(
-            value_fn=lambda lam: math.nan, derivative_fn=lambda lam: math.nan, dimension=4
-        )
+        def nans(lams):
+            return np.full_like(lams, math.nan)
+
+        oracle = EntropyOracle(value_fn=nans, derivative_fn=nans, dimension=4)
         with pytest.raises(IllConditioned):
             recover_spectrum(oracle)
 
     def test_overflowing_oracle_is_rejected(self):
         # log2 det = 4 * 300 at every node; 2**1200 is not a float
         oracle = EntropyOracle(
-            value_fn=lambda lam: -300.0, derivative_fn=lambda lam: 0.0, dimension=4
+            value_fn=lambda lams: np.full_like(lams, -300.0), derivative_fn=np.zeros_like,
+            dimension=4,
         )
         with pytest.raises(IllConditioned):
             recover_spectrum(oracle)
 
     def test_nan_at_validation_nodes_is_rejected(self, rng):
         base = oracle_from_spectrum(random_state(4, rng).spectrum)
-        held_out = set(HELD_OUT.tolist())
         oracle = EntropyOracle(
-            value_fn=lambda lam: math.nan if lam in held_out else base.value_fn(lam),
+            value_fn=lambda lams: np.where(np.isin(lams, HELD_OUT), math.nan, base.value_fn(lams)),
             derivative_fn=base.derivative_fn,
             dimension=4,
         )
@@ -306,8 +317,8 @@ class TestRecoverSpectrum:
         # held-out nodes, passes the residual bound, has every coefficient
         # trimmed and comes back as the flat spectrum
         oracle = EntropyOracle(
-            value_fn=lambda lam: -170.0 * (0.5 + lam) / 1.4,
-            derivative_fn=lambda lam: 0.0,
+            value_fn=lambda lams: -170.0 * (0.5 + lams) / 1.4,
+            derivative_fn=np.zeros_like,
             dimension=6,
         )
         with pytest.raises(IllConditioned) as info:
@@ -318,12 +329,12 @@ class TestRecoverSpectrum:
         # exact determinant polynomial (1/4)(1 - lam/0.95)(1 - lam/0.98):
         # both roots map to negative eigenvalues, which clip to zero and
         # leave nothing to normalize
-        def det(lam):
-            return 0.25 * (1.0 - lam / 0.95) * (1.0 - lam / 0.98)
+        def det(lams):
+            return 0.25 * (1.0 - lams / 0.95) * (1.0 - lams / 0.98)
 
         oracle = EntropyOracle(
-            value_fn=lambda lam: -0.5 * math.log2(det(lam)),
-            derivative_fn=lambda lam: 0.0,
+            value_fn=lambda lams: -0.5 * np.log2(det(lams)),
+            derivative_fn=np.zeros_like,
             dimension=2,
         )
         with pytest.raises(DegreeDeficit, match="every recovered eigenvalue clipped to zero"):
