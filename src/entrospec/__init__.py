@@ -48,7 +48,6 @@ _MODULE_OF = {
     "sample_log2_determinant": "recovery",
     "PropertyResult": "selftest",
     "run_selftest": "selftest",
-    "ComplexMatrix": "states",
     "QuantumState": "states",
     "Spectrum": "states",
     "as_complex_matrix": "states",

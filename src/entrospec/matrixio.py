@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import ParseError
-from .states import ComplexMatrix, as_complex_matrix
+from .states import as_complex_matrix
 
 
 def _check_grid(name: str, grid, n: int) -> list[list[float]]:
@@ -45,7 +45,7 @@ def _check_grid(name: str, grid, n: int) -> list[list[float]]:
     return rows
 
 
-def parse_matrix_file(text: str) -> ComplexMatrix:
+def parse_matrix_file(text: str) -> np.ndarray:
     """Parse a matrix file's text; every problem raises ParseError."""
     try:
         doc = json.loads(text)
@@ -66,7 +66,7 @@ def parse_matrix_file(text: str) -> ComplexMatrix:
     return out
 
 
-def load_matrix(path: str) -> ComplexMatrix:
+def load_matrix(path: str) -> np.ndarray:
     """Read a matrix file; every parse problem raises ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -175,19 +175,14 @@ def recover_spectrum(oracle: EntropyOracle) -> RecoveredSpectrum:
     effective_degree = len(kept) - 1
     trimmed = n - effective_degree
 
-    if effective_degree == 0:
-        eigenvalues = np.full(n, 1.0 / n)
-    else:
-        # the leading coefficient is nonzero, so there are exactly
-        # effective_degree roots
-        roots = np.polynomial.polynomial.polyroots(kept)
-        max_imag = float(np.max(np.abs(roots.imag)))
-        if max_imag > ROOT_IMAG_TOL:
-            raise ComplexRoots(max_imag, ROOT_IMAG_TOL)
-        shifts = -1.0 / (n * roots.real)
-        eigenvalues = np.concatenate(
-            [shifts + 1.0 / n, np.full(trimmed, 1.0 / n)]
-        )
+    # the leading coefficient is nonzero, so there are exactly
+    # effective_degree roots: none when every eigenvalue is 1/n
+    roots = np.polynomial.polynomial.polyroots(kept)
+    max_imag = float(np.max(np.abs(roots.imag), initial=0.0))
+    if max_imag > ROOT_IMAG_TOL:
+        raise ComplexRoots(max_imag, ROOT_IMAG_TOL)
+    shifts = -1.0 / (n * roots.real)
+    eigenvalues = np.concatenate([shifts + 1.0 / n, np.full(trimmed, 1.0 / n)])
 
     clipped = np.clip(eigenvalues, 0.0, 1.0)
     total = float(np.sum(clipped))

@@ -23,10 +23,6 @@ from .errors import (
     TraceNotOne,
 )
 
-# Any square complex ndarray; functions below coerce to this.
-ComplexMatrix = np.ndarray
-
-
 # QuantumState's thresholds (Hermiticity residual, trace error, most
 # negative eigenvalue).
 HERM_TOL = 1e-10
@@ -34,7 +30,7 @@ TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 
 
-def as_complex_matrix(data) -> ComplexMatrix:
+def as_complex_matrix(data) -> np.ndarray:
     """Coerce array-like input to a square complex128 matrix.
 
     Raises ValueError if the input is not square, two-dimensional and
@@ -104,7 +100,7 @@ class QuantumState:
     1 - (n+1) * 1e-9) to an exact unit sum; the order stays descending.
     """
 
-    matrix: ComplexMatrix = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
     dimension: int = field(init=False)
     eigensystem: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     spectrum: Spectrum = field(init=False, repr=False)

@@ -16,7 +16,6 @@ from entrospec.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
-    "ComplexMatrix",
     "ComplexRoots",
     "DegreeDeficit",
     "DimensionMismatch",
@@ -71,10 +70,8 @@ def test_every_public_name_resolves_from_the_package_root():
         module = importlib.import_module(f"entrospec.{entrospec._MODULE_OF[name]}")
         value = getattr(entrospec, name)
         assert value is vars(module)[name], name
-        # the module that defines it, not one that imports it (ComplexMatrix
-        # is an alias of np.ndarray, defined in states)
-        if name != "ComplexMatrix":
-            assert value.__module__ == module.__name__, name
+        # the module that defines it, not one that imports it
+        assert value.__module__ == module.__name__, name
 
 
 def test_dir_lists_every_public_name():

@@ -326,7 +326,7 @@ class TestSelftestCommand:
         assert "Traceback" not in err
 
 
-class TestResolveSeed:
+class TestSelftestDefaultSeed:
     def test_default(self, capsys, monkeypatch):
         draws = []
 

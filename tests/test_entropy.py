@@ -102,7 +102,7 @@ def _low_rank_spectrum(n, rank, rng) -> Spectrum:
     return Spectrum(values=tuple(values.tolist()))
 
 
-class TestEntropyCurveValues:
+class TestCurveEntropies:
     """The stacked kernel ``_decide`` runs, against the scalar ``value``."""
 
     def test_bitwise_equal_to_value(self, rng):

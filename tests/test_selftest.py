@@ -6,6 +6,7 @@ import pytest
 
 import entrospec.matrixio as matrixio
 from entrospec import (
+    ComplexRoots,
     decide_spectral,
     depolarize,
     fit_determinant_polynomial,
@@ -14,17 +15,15 @@ from entrospec import (
     sample_log2_determinant,
     selftest,
 )
+from entrospec.cli import main
 from entrospec.selftest import _noise_gain, run_selftest
 
 # Each property's generator is keyed [seed, index], so a reorder changes the
 # draws of every property it moves: it is as deliberate as an __all__ change.
 PROPERTY_NAMES = [
     "eigensolver-reconstruction",
-    "depolarize-spectrum-map",
-    "curve-matches-entropy",
-    "derivative-finite-difference",
-    "second-derivative-finite-difference",
-    "log2-determinant-identity",
+    "depolarized-state",
+    "curve-closed-forms",
     "product-degree-bound",
     "deciders",
     "single-point-insufficiency",
@@ -133,3 +132,24 @@ def test_bad_seed_raises_before_any_property(seed, monkeypatch):
     with pytest.raises(ValueError, match="seed must be a non-negative int"):
         run_selftest(seed)
     assert ran == []
+
+
+def test_a_raising_property_fails_and_the_next_still_runs(monkeypatch, capsys):
+    # a library error inside one property is that property's failure, not
+    # the end of the report
+    def passes(rng):
+        return True, 0.0, "passes"
+
+    def raises(rng):
+        raise ComplexRoots(2.5, 1e-6)
+
+    properties = (("before", passes), ("raises", raises), ("after", passes))
+    monkeypatch.setattr(selftest, "_PROPERTIES", properties)
+    results = run_selftest(0)
+    assert [(res.name, res.passed) for res in results] == [
+        ("before", True), ("raises", False), ("after", True)
+    ]
+    assert results[1].max_residual == float("inf")
+    assert results[1].detail == f"raised ComplexRoots: {ComplexRoots(2.5, 1e-6)}"
+    assert main(["selftest"]) == 5
+    assert "FAIL raises (residual inf)" in capsys.readouterr().err
