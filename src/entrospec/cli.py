@@ -10,14 +10,22 @@ messages go to stderr. Exit codes are a stable contract:
     3  equiv decided not_equivalent
     4  spectrum recovery failed
     5  selftest found a failing property
+
+Run as a process (the ``entrospec`` console script or ``python -m
+entrospec.cli``), the CLI ends without interpreter teardown once the command
+has written its output: ``process_main`` flushes stdout and stderr and calls
+``os._exit``, so ``atexit`` handlers do not run after a command. An uncaught
+exception, a closed stdout or stderr, or a failed flush takes the normal
+interpreter exit instead. ``main(argv)`` only returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .errors import (
     ComplexRoots,
@@ -210,5 +218,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
 
 
+def process_main() -> NoReturn:
+    """Run ``main()`` on ``sys.argv`` and end the process with its exit code.
+
+    Once the command's output is flushed, ``os._exit`` ends the process and
+    skips finalizing numpy and every other loaded module, which is work for
+    nothing in a process about to end. A stream that is ``None`` (its file
+    descriptor was closed at start) or a flush that fails (a broken pipe)
+    leaves the exit to ``sys.exit``, so the interpreter reports a failed
+    flush itself.
+    """
+    code = main()
+    if sys.stdout is not None and sys.stderr is not None:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

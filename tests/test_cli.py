@@ -13,6 +13,7 @@ from entrospec import (
     decide_grid,
     oracle_from_spectrum,
     random_state,
+    random_unitary,
     recover_spectrum,
     save_matrix,
     selftest,
@@ -466,3 +467,115 @@ class TestCommandLoadsOnlyItsLayers:
                  "print(json.dumps(['numpy' in sys.modules, "
                  "sorted(m for m in sys.modules if m.startswith('entrospec'))]))")
         assert _child_json(tmp_path, child) == [False, ["entrospec"]]
+
+
+def _child_env(**extra):
+    """A child's environment: src/ on the path and stdout block-buffered.
+
+    PYTHONUNBUFFERED is dropped unless given, as for any user who has not
+    set it, so a child's output reaches a pipe only when it is flushed.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), **extra)
+    return env
+
+
+def _cli_child(argv, cwd, env=None, prefix=(), **kwargs):
+    """``python -m entrospec.cli argv...`` as a process, stderr as bytes."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([*prefix, sys.executable, "-m", "entrospec.cli", *argv],
+                          env=_child_env(**(env or {})), cwd=cwd, stderr=subprocess.PIPE,
+                          **kwargs)
+
+
+class TestProcessExit:
+    """A CLI process ends without teardown and still reports as main() does."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["entropy", "a.json"], 0),
+            (["curve", "a.json", "--out", "c.csv"], 0),
+            (["equiv", "a.json", "conj.json"], 0),
+            (["entropy", "bad.json"], 1),
+            (["equiv", "a.json", "two.json"], 2),
+            (["equiv", "a.json", "other.json"], 3),
+            (["recover", "n24.json"], 4),
+        ],
+        ids=["entropy", "curve", "equiv", "malformed", "dimension", "distinct", "recover-n24"],
+    )
+    def test_child_matches_main(self, tmp_path, monkeypatch, capsys, argv, expected):
+        rng = np.random.default_rng(0)
+        a = random_state(4, rng).matrix
+        u = random_unitary(4, rng)
+        write_state(tmp_path, "a.json", a)
+        write_state(tmp_path, "conj.json", u @ a @ u.conj().T)
+        write_state(tmp_path, "other.json", random_state(4, rng).matrix)
+        write_state(tmp_path, "two.json", np.eye(2) / 2)
+        write_state(tmp_path, "n24.json", random_state(24, rng).matrix)
+        (tmp_path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+
+        code, out, err = run(capsys, argv)
+        csv = (tmp_path / "c.csv").read_bytes() if "curve" in argv else None
+        proc = _cli_child(argv, tmp_path)
+        assert code == expected
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
+        assert "Traceback" not in err
+        if csv is not None:
+            assert (tmp_path / "c.csv").read_bytes() == csv
+            assert len(csv.splitlines()) == 65
+
+    def test_closed_stdout_exits_0(self, tmp_path):
+        path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
+        proc = _cli_child(["equiv", path, path], tmp_path,
+                          prefix=["sh", "-c", 'exec "$@" >&-', "sh"])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    # unbuffered, the JSON write inside main fails and main reports it; block-
+    # buffered, the exit's flush fails and the interpreter reports it
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["write-fails", "flush-fails"])
+    def test_broken_pipe(self, tmp_path, unbuffered):
+        path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _cli_child(["equiv", path, path], tmp_path, stdout=write_end,
+                              env={"PYTHONUNBUFFERED": "1"} if unbuffered else None)
+        finally:
+            os.close(write_end)
+        if unbuffered:
+            assert (proc.returncode, proc.stderr) == (1, b"entrospec: [Errno 32] Broken pipe\n")
+        else:
+            assert proc.returncode == 120
+            assert proc.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper")
+            assert proc.stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["command", "uncaught-exception"])
+    def test_atexit_runs_only_after_an_uncaught_exception(self, tmp_path, raises):
+        write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
+        child = """
+import atexit, sys
+from entrospec import cli
+def raising(args):
+    raise RuntimeError("not an entrospec error")
+if sys.argv.pop(1) == "raise":
+    cli._COMMANDS["entropy"] = raising
+atexit.register(print, "atexit ran", file=sys.stderr)
+cli.process_main()
+"""
+        proc = subprocess.run([sys.executable, "-c", child, "raise" if raises else "run",
+                               "entropy", "a.json"],
+                              env=_child_env(), cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == (1 if raises else 0)
+        assert ("atexit ran" in proc.stderr) is raises
+        assert ("RuntimeError: not an entrospec error" in proc.stderr) is raises
+
+
+def test_selftest_child_leaves_no_temporary_files(tmp_path):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = _cli_child(["selftest", "--seed", "0"], tmp_path, env={"TMPDIR": str(tmpdir)},
+                      stdout=subprocess.DEVNULL)
+    assert proc.returncode == 0
+    assert list(tmpdir.iterdir()) == []
