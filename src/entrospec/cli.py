@@ -11,12 +11,14 @@ messages go to stderr. Exit codes are a stable contract:
     4  spectrum recovery failed
     5  selftest found a failing property
 
-Run as a process (the ``entrospec`` console script or ``python -m
-entrospec.cli``), the CLI ends without interpreter teardown once the command
-has written its output: ``process_main`` flushes stdout and stderr and calls
-``os._exit``, so ``atexit`` handlers do not run after a command. An uncaught
-exception, a closed stdout or stderr, or a failed flush takes the normal
-interpreter exit instead. ``main(argv)`` only returns the exit code.
+``main`` flushes the JSON report and the error line as it prints them, so a
+failed output write (a broken pipe, a full disk) raises inside ``main`` and
+exits 1 like any other I/O error. Run as a process (the ``entrospec`` console
+script or ``python -m entrospec.cli``), the CLI then ends without interpreter
+teardown: ``process_main`` calls ``os._exit`` with ``main``'s code, so
+``atexit`` handlers do not run after a command. Only an uncaught exception,
+and argparse's ``--help``, exit through the interpreter. ``main(argv)`` only
+returns the exit code.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def _load_state(path: str) -> QuantumState:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2), flush=True)
 
 
 # Each handler imports the layer it runs, so a child process loads only the
@@ -208,36 +210,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except DimensionMismatch as exc:
-        print(f"entrospec: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+        code, error = EXIT_DIMENSION, exc
     except _RECOVERY_ERRORS as exc:
-        print(f"entrospec: {exc}", file=sys.stderr)
-        return EXIT_RECOVERY
+        code, error = EXIT_RECOVERY, exc
     except (EntrospecError, ValueError, OSError) as exc:
-        print(f"entrospec: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, error = EXIT_INPUT, exc
+    # with stderr closed, print writes to stdout, which may be block-buffered
+    print(f"entrospec: {error}", file=sys.stderr, flush=True)
+    return code
 
 
 def process_main() -> NoReturn:
     """Run ``main()`` on ``sys.argv`` and end the process with its exit code.
 
-    Once the command's output is flushed, ``os._exit`` ends the process and
-    skips finalizing numpy and every other loaded module, which is work for
-    nothing in a process about to end. A stream that is ``None`` (its file
-    descriptor was closed at start) or a flush that fails (a broken pipe)
-    leaves the exit to ``sys.exit``, so the interpreter reports a failed
-    flush itself.
+    ``main`` has flushed all it wrote, so ``os._exit`` ends the process at
+    once and skips finalizing numpy and every other loaded module, which is
+    work for nothing in a process about to end. An uncaught exception (and
+    argparse's ``--help``) leaves ``main`` before this call and takes the
+    interpreter's exit.
     """
-    code = main()
-    if sys.stdout is not None and sys.stderr is not None:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except OSError:
-            pass
-        else:
-            os._exit(code)
-    sys.exit(code)
+    os._exit(main())
 
 
 if __name__ == "__main__":

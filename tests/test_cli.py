@@ -532,8 +532,8 @@ class TestProcessExit:
                           prefix=["sh", "-c", 'exec "$@" >&-', "sh"])
         assert (proc.returncode, proc.stderr) == (0, b"")
 
-    # unbuffered, the JSON write inside main fails and main reports it; block-
-    # buffered, the exit's flush fails and the interpreter reports it
+    # main flushes its JSON as it prints it, so the failed write raises inside
+    # main and is reported there, block-buffered or not
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["write-fails", "flush-fails"])
     def test_broken_pipe(self, tmp_path, unbuffered):
         path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
@@ -544,12 +544,34 @@ class TestProcessExit:
                               env={"PYTHONUNBUFFERED": "1"} if unbuffered else None)
         finally:
             os.close(write_end)
-        if unbuffered:
-            assert (proc.returncode, proc.stderr) == (1, b"entrospec: [Errno 32] Broken pipe\n")
-        else:
-            assert proc.returncode == 120
-            assert proc.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper")
-            assert proc.stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+        assert (proc.returncode, proc.stderr) == (1, b"entrospec: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk(self, tmp_path):
+        path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
+        with open("/dev/full", "wb") as full:
+            proc = _cli_child(["entropy", path], tmp_path, stdout=full)
+        assert (proc.returncode, proc.stderr) == (
+            1, b"entrospec: [Errno 28] No space left on device\n")
+
+    # with fd 2 closed, sys.stderr is None and print(file=None) writes to the
+    # block-buffered stdout: the error line and selftest's status lines must
+    # still reach it before the process ends
+    def test_closed_stderr_loses_nothing(self, tmp_path):
+        (tmp_path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
+        closed = ["sh", "-c", 'exec "$@" 2>&-', "sh"]
+        proc = _cli_child(["entropy", "bad.json"], tmp_path, prefix=closed)
+        both_open = _cli_child(["entropy", "bad.json"], tmp_path)
+        assert proc.returncode == both_open.returncode == 1
+        assert proc.stdout == both_open.stderr
+        assert proc.stdout.startswith(b"entrospec: not valid JSON: ")
+        assert proc.stdout.count(b"\n") == 1
+
+        argv = ["selftest", "--seed", "0"]
+        proc = _cli_child(argv, tmp_path, prefix=closed)
+        both_open = _cli_child(argv, tmp_path)
+        assert proc.returncode == both_open.returncode == 0
+        assert proc.stdout == both_open.stderr + both_open.stdout
 
     @pytest.mark.parametrize("raises", [False, True], ids=["command", "uncaught-exception"])
     def test_atexit_runs_only_after_an_uncaught_exception(self, tmp_path, raises):
