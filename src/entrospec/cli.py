@@ -11,14 +11,14 @@ messages go to stderr. Exit codes are a stable contract:
     4  spectrum recovery failed
     5  selftest found a failing property
 
-``main`` flushes the JSON report and the error line as it prints them, so a
-failed output write (a broken pipe, a full disk) raises inside ``main`` and
-exits 1 like any other I/O error. Run as a process (the ``entrospec`` console
-script or ``python -m entrospec.cli``), the CLI then ends without interpreter
-teardown: ``process_main`` calls ``os._exit`` with ``main``'s code, so
-``atexit`` handlers do not run after a command. Only an uncaught exception,
-and argparse's ``--help``, exit through the interpreter. ``main(argv)`` only
-returns the exit code.
+``main`` flushes the JSON report, the help and the error line as it prints
+them, so a failed output write (a broken pipe, a full disk) raises inside
+``main`` and exits 1 like any other I/O error. Run as a process (the
+``entrospec`` console script or ``python -m entrospec.cli``), the CLI then
+ends without interpreter teardown: ``process_main`` calls ``os._exit`` with
+``main``'s code, so ``atexit`` handlers do not run after a command. Only an
+uncaught exception exits through the interpreter. ``main(argv)`` only returns
+the exit code, 0 after ``--help``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,16 @@ _RECOVERY_ERRORS = (IllConditioned, ComplexRoots, DegreeDeficit)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ParseError (exit code 1)."""
+    """argparse that reports usage problems as ParseError (exit code 1) and
+    flushes the help, so a failed write of it raises an OSError."""
 
     def error(self, message):
         raise ParseError(message)
+
+    def print_help(self, file=None):
+        # argparse's own write swallows an OSError; with stdout closed it
+        # writes the help to stderr, and so does this
+        print(self.format_help(), end="", file=file or sys.stdout or sys.stderr, flush=True)
 
 
 def _build_parser() -> _Parser:
@@ -182,9 +188,12 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     from .selftest import run_selftest
 
     results = run_selftest(args.seed)
-    for res in results:
-        status = "ok" if res.passed else "FAIL"
-        print(f"{status:4s} {res.name} (residual {res.max_residual:.3e})", file=sys.stderr)
+    # the status lines repeat the report: with stderr closed, print would put
+    # them on stdout ahead of the JSON, so they are skipped
+    if sys.stderr is not None:
+        for res in results:
+            status = "ok" if res.passed else "FAIL"
+            print(f"{status:4s} {res.name} (residual {res.max_residual:.3e})", file=sys.stderr)
     all_passed = all(res.passed for res in results)
     _emit(
         {
@@ -209,6 +218,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit:
+        # error() raises ParseError, so only --help exits, once it is printed
+        return EXIT_OK
     except DimensionMismatch as exc:
         code, error = EXIT_DIMENSION, exc
     except _RECOVERY_ERRORS as exc:
@@ -225,9 +237,8 @@ def process_main() -> NoReturn:
 
     ``main`` has flushed all it wrote, so ``os._exit`` ends the process at
     once and skips finalizing numpy and every other loaded module, which is
-    work for nothing in a process about to end. An uncaught exception (and
-    argparse's ``--help``) leaves ``main`` before this call and takes the
-    interpreter's exit.
+    work for nothing in a process about to end. An uncaught exception leaves
+    ``main`` before this call and takes the interpreter's exit.
     """
     os._exit(main())
 

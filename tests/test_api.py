@@ -13,6 +13,8 @@ import pytest
 import entrospec
 from entrospec.cli import main
 
+from conftest import diag_state
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
@@ -95,6 +97,31 @@ def test_submodules_still_import_from_the_package_root():
 
     assert selftest is importlib.import_module("entrospec.selftest")
     assert selftest.run_selftest is entrospec.run_selftest
+
+
+# Parameters that were removed: recovery's weights are the fixed grid, the
+# fit takes samples, not an oracle, and the deciders take no configuration.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda oracle, samples, state: entrospec.sample_log2_determinant(oracle, 0.5),
+        lambda oracle, samples, state: entrospec.recover_spectrum(oracle, nodes=(0.2, 0.4, 0.6)),
+        lambda oracle, samples, state: entrospec.fit_determinant_polynomial(
+            samples, 2, nodes=(0.2, 0.4, 0.6)),
+        lambda oracle, samples, state: entrospec.fit_determinant_polynomial(oracle),
+        lambda oracle, samples, state: entrospec.decide_spectral(state, state, None),
+        lambda oracle, samples, state: entrospec.decide_grid(state, state, None),
+        lambda oracle, samples, state: entrospec.decide_nodes(state, state, None),
+    ],
+    ids=["sample-weight", "recover-nodes", "fit-nodes", "fit-oracle", "spectral-config",
+         "grid-config", "nodes-config"],
+)
+def test_retired_parameter_raises_type_error(call):
+    state = diag_state(0.75, 0.25)
+    oracle = entrospec.oracle_from_spectrum(state.spectrum)
+    samples = entrospec.sample_log2_determinant(oracle)
+    with pytest.raises(TypeError):
+        call(oracle, samples, state)
 
 
 def test_readme_library_example_runs(capsys):

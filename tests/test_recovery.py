@@ -62,12 +62,6 @@ class TestSampleLog2Determinant:
     def test_finite_difference_fallback(self):
         assert _direct_determinant_error(include_derivative=False) <= 1e-7
 
-    def test_weight_is_not_a_parameter(self):
-        # the nodes are fixed by the method, not passed in
-        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
-        with pytest.raises(TypeError):
-            sample_log2_determinant(oracle, 0.5)
-
 
 class TestGridRowsAndDimension:
     """The sampled grid rows and the dimension check of the oracle and the fit."""
@@ -86,18 +80,6 @@ class TestGridRowsAndDimension:
         (rows,) = queried
         assert rows.tolist() == ROWS.tolist() == [0.9 * j / 63 for j in range(1, 64)]
         assert set(HELD_OUT.tolist()) <= set(rows.tolist()) and len(HELD_OUT) == 7
-
-    def test_nodes_are_not_a_parameter(self):
-        # the grid is fixed by the method, not passed in, and the fit takes
-        # samples, not an oracle
-        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
-        samples = sample_log2_determinant(oracle)
-        with pytest.raises(TypeError):
-            recover_spectrum(oracle, nodes=(0.2, 0.4, 0.6))
-        with pytest.raises(TypeError):
-            fit_determinant_polynomial(samples, 2, nodes=(0.2, 0.4, 0.6))
-        with pytest.raises(TypeError):
-            fit_determinant_polynomial(oracle)
 
     def test_rejects_nonpositive_dimension(self):
         # unchecked, 0 divides by zero in the fit and True runs as n = 1
