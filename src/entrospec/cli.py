@@ -12,18 +12,27 @@ messages go to stderr. Exit codes are a stable contract:
     5  selftest found a failing property
 
 ``main`` flushes the JSON report, the help and the error line as it prints
-them, so a failed output write (a broken pipe, a full disk) raises inside
-``main`` and exits 1 like any other I/O error. Run as a process (the
-``entrospec`` console script or ``python -m entrospec.cli``), the CLI then
-ends without interpreter teardown: ``process_main`` calls ``os._exit`` with
-``main``'s code, so ``atexit`` handlers do not run after a command. Only an
-uncaught exception exits through the interpreter. ``main(argv)`` only returns
-the exit code, 0 after ``--help``.
+them. Run as a process (the ``entrospec`` console script or ``python -m
+entrospec.cli``), the CLI then ends without interpreter teardown:
+``process_main`` calls ``os._exit`` with ``main``'s code, so ``atexit``
+handlers do not run after a command. Only an uncaught exception exits through
+the interpreter. ``main(argv)`` only returns the exit code, 0 after ``--help``.
+
+A process reports what ``main`` prints, by one rule for each state of stdout
+and stderr at start. Both writable: ``main``'s exit code, stdout and stderr.
+Stdout closed: ``main``'s exit code and stderr (the help goes to stderr).
+Stdout failing (a broken pipe, a full disk): a report or help that cannot be
+written exits 1, with one ``entrospec: [Errno ...] ...`` line after what
+stderr already got, buffered or not. Stderr closed: ``main``'s exit code and
+stdout, the error line on stdout as ``print`` puts it, and no selftest status
+lines. Stderr not writable (fd 2 open read-only): ``main``'s exit code and
+stdout, the failed stderr writes dropped.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -189,11 +198,14 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
     results = run_selftest(args.seed)
     # the status lines repeat the report: with stderr closed, print would put
-    # them on stdout ahead of the JSON, so they are skipped
+    # them on stdout ahead of the JSON, so they are skipped, and a failed
+    # write of them loses nothing
     if sys.stderr is not None:
-        for res in results:
-            status = "ok" if res.passed else "FAIL"
-            print(f"{status:4s} {res.name} (residual {res.max_residual:.3e})", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            for res in results:
+                status = "ok" if res.passed else "FAIL"
+                print(f"{status:4s} {res.name} (residual {res.max_residual:.3e})",
+                      file=sys.stderr)
     all_passed = all(res.passed for res in results)
     _emit(
         {
@@ -227,8 +239,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, error = EXIT_RECOVERY, exc
     except (EntrospecError, ValueError, OSError) as exc:
         code, error = EXIT_INPUT, exc
-    # with stderr closed, print writes to stdout, which may be block-buffered
-    print(f"entrospec: {error}", file=sys.stderr, flush=True)
+    # with stderr closed, print writes to stdout, which may be block-buffered;
+    # a failed write of this line changes neither the exit code nor stdout
+    with contextlib.suppress(OSError):
+        print(f"entrospec: {error}", file=sys.stderr, flush=True)
     return code
 
 
@@ -238,7 +252,10 @@ def process_main() -> NoReturn:
     ``main`` has flushed all it wrote, so ``os._exit`` ends the process at
     once and skips finalizing numpy and every other loaded module, which is
     work for nothing in a process about to end. An uncaught exception leaves
-    ``main`` before this call and takes the interpreter's exit.
+    ``main`` before this call and takes the interpreter's exit. The module
+    docstring gives the rule for each state of stdout and stderr: a report
+    or help that cannot be written exits 1, and no other state changes the
+    exit code.
     """
     os._exit(main())
 

@@ -30,6 +30,8 @@ from entrospec import (
 )
 from entrospec.equivalence import ENTROPY_TOL
 
+from conftest import conjugate
+
 
 def _verdict(number, failures):
     if failures:
@@ -41,10 +43,6 @@ def _verdict(number, failures):
 
 def _rng(criterion):
     return np.random.default_rng([criterion, 20260814])
-
-
-def _conjugate(state, u):
-    return validate_state(u @ state.matrix @ u.conj().T)
 
 
 def _spectral_distance(a, b):
@@ -109,7 +107,7 @@ def test_criterion_3_conjugate_pairs_match_on_grid():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         state = random_state(n, rng)
-        rotated = _conjugate(state, random_unitary(n, rng))
+        rotated = conjugate(state, random_unitary(n, rng))
         report = decide_grid(state, rotated)
         worst = max(worst, report.max_entropy_gap)
         if not report.equivalent:
@@ -202,7 +200,7 @@ def test_criterion_5_witness_validity():
     for index in range(100):
         n = int(rng.integers(2, 9))
         sigma = random_state(n, rng)
-        rho = _conjugate(sigma, random_unitary(n, rng))
+        rho = conjugate(sigma, random_unitary(n, rng))
         report = deciders[index % 3](rho, sigma)
         if not report.equivalent or report.witness is None:
             failures.append("equivalent verdict arrived without a witness")

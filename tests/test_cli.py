@@ -401,11 +401,9 @@ class TestMatrixFiles:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-CLI = ["-m", "entrospec.cli"]
-
 
 def _child(args, cwd, env=None, prefix=(), **kwargs):
-    """``python args...`` in a fresh interpreter, stdout and stderr as bytes.
+    """``python args...`` in a fresh interpreter, stdout and stderr piped.
 
     src/ is on the path. PYTHONUNBUFFERED is dropped unless ``env`` sets it,
     as for any user who has not set it, so a child's output reaches a pipe
@@ -413,9 +411,8 @@ def _child(args, cwd, env=None, prefix=(), **kwargs):
     """
     child_env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     child_env.update(PYTHONPATH=str(SRC), **(env or {}))
-    kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run([*prefix, sys.executable, *args], env=child_env, cwd=cwd,
-                          stderr=subprocess.PIPE, **kwargs)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([*prefix, sys.executable, *args], env=child_env, cwd=cwd, **kwargs)
 
 
 # run the command's argv through main, then report the exit code and which
@@ -460,127 +457,131 @@ class TestCommandLoadsOnlyItsLayers:
         assert json.loads(proc.stdout) == [False, ["entrospec"]]
 
 
+# `python -m entrospec.cli`, run as -m runs it, with an atexit handler that
+# prints only if the process ends through the interpreter. With RAISE set, the
+# entropy command raises an error main does not catch, printed as one line.
+_ENTRY = """
+import atexit, os, runpy, sys
+if os.environ.get("RAISE"):
+    import entrospec.entropy
+    def entropy_of_spectrum(spectrum):
+        raise RuntimeError("not an entrospec error")
+    entrospec.entropy.entropy_of_spectrum = entropy_of_spectrum
+    sys.excepthook = lambda kind, value, tb: print(f"{kind.__name__}: {value}", file=sys.stderr)
+atexit.register(print, "atexit ran", file=sys.stderr)
+runpy.run_module("entrospec.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _raising(spectrum):
+    raise RuntimeError("not an entrospec error")
+
+
+# name: argv, main's exit code, and how main's stdout (else its stderr) starts
+_ARGV = {
+    "entropy": (["entropy", "a.json"], 0, '{\n  "n": 4,'),
+    "curve": (["curve", "a.json", "--out", "c.csv"], 0, '{\n  "n": 4,'),
+    "equiv": (["equiv", "a.json", "conj.json"], 0, '{\n  "n": 4,\n  "verdict": "equivalent"'),
+    "malformed": (["entropy", "bad.json"], 1, "entrospec: not valid JSON: "),
+    "dimension": (["equiv", "a.json", "two.json"], 2, "entrospec: states live in different"),
+    "dimension-16": (["equiv", "two.json", "n16.json"], 2, "entrospec: states live in different"),
+    "distinct": (["equiv", "a.json", "other.json"], 3, '{\n  "n": 4,\n  "verdict": "not_equiv'),
+    "recover-n24": (["recover", "n24.json"], 4, "entrospec: "),
+    "help": (["--help"], 0, "usage: entrospec [-h]"),
+    "equiv-help": (["equiv", "-h"], 0, "usage: entrospec equiv [-h]"),
+    "selftest": (["selftest", "--seed", "0"], 0, '{\n  "seed": 0,\n  "all_passed": true,'),
+    "uncaught-exception": (["entropy", "a.json"], 1, "RuntimeError: not an entrospec error"),
+}
+
+# a stream setup: the shell's redirection of the child's stdout or stderr (the
+# test makes the broken pipe), and the error of a failed write to stdout
+_SETUPS = {"default": ("", None), "stdout-closed": (">&-", None), "stderr-closed": ("2>&-", None),
+           "stderr-read-only": ("2</dev/null", None), "broken-pipe": ("", "[Errno 32] Broken pipe"),
+           "full": (">/dev/full", "[Errno 28] No space left on device")}
+
+
+def _reported(setup, code, out, err):
+    """A child's exit code, stdout and stderr in ``setup``, from main's in
+    process, by README's rule for that setup ("" for a stream not read)."""
+    failed = _SETUPS[setup][1]
+    if failed and out:
+        # the report or help raises inside main, which exits 1 with the error
+        return 1, "", f"{err}entrospec: {failed}\n"
+    # stderr closed: the error line goes to stdout, selftest skips its status lines
+    return {"default": (code, out, err), "stderr-closed": (code, out or err, ""),
+            "stderr-read-only": (code, out, "")}.get(setup, (code, "", err))
+
+
+def _row(name, setup="default", **env):
+    """A table row: ``name``'s argv in ``setup``, ``env`` added to the child's."""
+    suffix = "" if setup == "default" else f"-{setup}"
+    suffix += "-unbuffered" if env.get("PYTHONUNBUFFERED") else ""
+    return pytest.param(name, setup, env, id=name + suffix, marks=pytest.mark.skipif(
+        setup == "full" and not os.path.exists("/dev/full"), reason="needs /dev/full"))
+
+
 class TestProcessExit:
-    """A CLI process ends without teardown and still reports as main() does."""
+    """A CLI child reports what main() does in process, by one rule for each
+    stream setup, ends without teardown and leaves no temporary files."""
 
     @pytest.mark.parametrize(
-        "argv, expected",
+        "name, setup, env",
         [
-            (["entropy", "a.json"], 0),
-            (["curve", "a.json", "--out", "c.csv"], 0),
-            (["equiv", "a.json", "conj.json"], 0),
-            (["entropy", "bad.json"], 1),
-            (["equiv", "a.json", "two.json"], 2),
-            (["equiv", "a.json", "other.json"], 3),
-            (["recover", "n24.json"], 4),
-            (["--help"], 0),
-            (["equiv", "-h"], 0),
+            *map(_row, ["entropy", "curve", "equiv", "malformed", "dimension", "distinct",
+                        "recover-n24", "help", "equiv-help"]),
+            _row("uncaught-exception", RAISE="1"),
+            _row("equiv", "stdout-closed"),
+            _row("equiv", "broken-pipe", PYTHONUNBUFFERED="1"),
+            _row("equiv", "broken-pipe"),
+            _row("entropy", "full"),
+            *(_row(name, "full", **env) for name in ("help", "equiv-help")
+              for env in ({}, {"PYTHONUNBUFFERED": "1"})),
+            _row("malformed", "stderr-closed"),
+            _row("selftest", "stderr-closed"),
+            _row("selftest", "stderr-read-only"),
+            _row("dimension-16", "stderr-read-only"),
+            _row("recover-n24", "stderr-read-only"),
         ],
-        ids=["entropy", "curve", "equiv", "malformed", "dimension", "distinct", "recover-n24",
-             "help", "equiv-help"],
     )
-    def test_child_matches_main(self, tmp_path, monkeypatch, capsys, argv, expected):
+    def test_child_matches_main(self, tmp_path, monkeypatch, capsys, name, setup, env):
         rng = np.random.default_rng(0)
-        a = random_state(4, rng).matrix
-        u = random_unitary(4, rng)
-        write_state(tmp_path, "a.json", a)
-        write_state(tmp_path, "conj.json", u @ a @ u.conj().T)
-        write_state(tmp_path, "other.json", random_state(4, rng).matrix)
-        write_state(tmp_path, "two.json", np.eye(2) / 2)
-        write_state(tmp_path, "n24.json", random_state(24, rng).matrix)
+        a, u = random_state(4, rng).matrix, random_unitary(4, rng)
+        states = {"a": a, "conj": u @ a @ u.conj().T, "other": random_state(4, rng).matrix,
+                  "two": np.eye(2) / 2, "n24": random_state(24, rng).matrix,
+                  "n16": random_state(16, rng).matrix}
+        for stem, matrix in states.items():
+            write_state(tmp_path, f"{stem}.json", matrix)
         (tmp_path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
+        (tmp_path / "tmp").mkdir()
         monkeypatch.chdir(tmp_path)
         # the help's line width, for this process and the child alike
         monkeypatch.setenv("COLUMNS", "80")
+        if "RAISE" in env:
+            monkeypatch.setattr("entrospec.entropy.entropy_of_spectrum", _raising)
 
-        code, out, err = run(capsys, argv)
+        argv, expected, starts = _ARGV[name]
+        try:
+            code, out, err = run(capsys, argv)
+        except RuntimeError as exc:
+            # main does not catch it, so the child ends through the
+            # interpreter: exit 1, the error, then the atexit handlers
+            code, out, err = 1, capsys.readouterr().out, f"RuntimeError: {exc}\natexit ran\n"
+        else:
+            # main prints its report, or its one error line, and no traceback
+            assert "Traceback" not in err and (out or err.count("\n") == 1)
+        assert code == expected and (out or err).startswith(starts)
         csv = (tmp_path / "c.csv").read_bytes() if "curve" in argv else None
-        proc = _child([*CLI, *argv], tmp_path)
-        assert code == expected
-        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
-        assert "Traceback" not in err
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "wb") as broken_pipe:
+            proc = _child(["-c", _ENTRY, *argv], tmp_path,
+                          env={"TMPDIR": str(tmp_path / "tmp"), **env},
+                          prefix=["sh", "-c", f'exec "$@" {_SETUPS[setup][0]}', "sh"],
+                          stdout=broken_pipe if setup == "broken-pipe" else subprocess.PIPE)
+        child = (proc.returncode, (proc.stdout or b"").decode(), proc.stderr.decode())
+        assert child == _reported(setup, code, out, err)
+        assert list((tmp_path / "tmp").iterdir()) == []
         if csv is not None:
             assert (tmp_path / "c.csv").read_bytes() == csv
             assert len(csv.splitlines()) == 65
-
-    def test_closed_stdout_exits_0(self, tmp_path):
-        path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
-        proc = _child([*CLI, "equiv", path, path], tmp_path,
-                      prefix=["sh", "-c", 'exec "$@" >&-', "sh"])
-        assert (proc.returncode, proc.stderr) == (0, b"")
-
-    # main flushes its JSON as it prints it, so the failed write raises inside
-    # main and is reported there, block-buffered or not
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["write-fails", "flush-fails"])
-    def test_broken_pipe(self, tmp_path, unbuffered):
-        path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = _child([*CLI, "equiv", path, path], tmp_path, stdout=write_end,
-                          env={"PYTHONUNBUFFERED": "1"} if unbuffered else None)
-        finally:
-            os.close(write_end)
-        assert (proc.returncode, proc.stderr) == (1, b"entrospec: [Errno 32] Broken pipe\n")
-
-    # the help is flushed like the JSON: its failed write exits 1 too
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_full_disk(self, tmp_path):
-        path = write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
-        cases = [(["entropy", path], None)] + [
-            (argv, env) for argv in (["--help"], ["equiv", "-h"])
-            for env in (None, {"PYTHONUNBUFFERED": "1"})
-        ]
-        with open("/dev/full", "wb") as full:
-            for argv, env in cases:
-                proc = _child([*CLI, *argv], tmp_path, env=env, stdout=full)
-                assert (proc.returncode, proc.stderr) == (
-                    1, b"entrospec: [Errno 28] No space left on device\n"), (argv, env)
-
-    # with fd 2 closed, sys.stderr is None and print(file=None) writes to the
-    # block-buffered stdout: the error line must still reach it before the
-    # process ends, and selftest's stdout stays its JSON report alone
-    def test_closed_stderr_loses_nothing(self, tmp_path):
-        (tmp_path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
-        closed = ["sh", "-c", 'exec "$@" 2>&-', "sh"]
-        proc = _child([*CLI, "entropy", "bad.json"], tmp_path, prefix=closed)
-        both_open = _child([*CLI, "entropy", "bad.json"], tmp_path)
-        assert proc.returncode == both_open.returncode == 1
-        assert proc.stdout == both_open.stderr
-        assert proc.stdout.startswith(b"entrospec: not valid JSON: ")
-        assert proc.stdout.count(b"\n") == 1
-
-        argv = ["selftest", "--seed", "0"]
-        proc = _child([*CLI, *argv], tmp_path, prefix=closed)
-        both_open = _child([*CLI, *argv], tmp_path)
-        assert proc.returncode == both_open.returncode == 0
-        assert proc.stdout == both_open.stdout
-        assert json.loads(proc.stdout)["all_passed"] is True
-
-    @pytest.mark.parametrize("raises", [False, True], ids=["command", "uncaught-exception"])
-    def test_atexit_runs_only_after_an_uncaught_exception(self, tmp_path, raises):
-        write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
-        child = """
-import atexit, sys
-from entrospec import cli
-def raising(args):
-    raise RuntimeError("not an entrospec error")
-if sys.argv.pop(1) == "raise":
-    cli._COMMANDS["entropy"] = raising
-atexit.register(print, "atexit ran", file=sys.stderr)
-cli.process_main()
-"""
-        proc = _child(["-c", child, "raise" if raises else "run", "entropy", "a.json"],
-                      tmp_path)
-        assert proc.returncode == (1 if raises else 0)
-        assert (b"atexit ran" in proc.stderr) is raises
-        assert (b"RuntimeError: not an entrospec error" in proc.stderr) is raises
-
-
-def test_selftest_child_leaves_no_temporary_files(tmp_path):
-    tmpdir = tmp_path / "tmp"
-    tmpdir.mkdir()
-    proc = _child([*CLI, "selftest", "--seed", "0"], tmp_path, env={"TMPDIR": str(tmpdir)},
-                  stdout=subprocess.DEVNULL)
-    assert proc.returncode == 0
-    assert list(tmpdir.iterdir()) == []

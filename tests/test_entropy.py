@@ -40,7 +40,7 @@ class TestEntropyOfSpectrum:
             assert 0.0 <= entropy <= math.log2(n) + 1e-12
 
 
-class TestVonNeumannEntropy:
+class TestCheckedStateEntropy:
     def test_maximal_mixed_qubit(self):
         assert entropy_of_spectrum(validate_state(np.eye(2) / 2).spectrum) == pytest.approx(
             1.0, abs=1e-12

@@ -23,7 +23,7 @@ from entrospec.errors import DimensionMismatch
 from conftest import conjugate, diag_state
 
 
-class TestUnitaryWitness:
+class TestDeciderWitness:
     def test_identity_pair(self, rng):
         state = random_state(3, rng)
         w = decide_spectral(state, state).witness

@@ -277,7 +277,7 @@ class TestCachedEigensystem:
                 cached[0] = 0.0
 
 
-class TestHermitianSpectrum:
+class TestStateSpectrum:
     def test_maximal_mixed(self):
         spectrum = validate_state(np.eye(4) / 4).spectrum
         np.testing.assert_allclose(spectrum.values, [0.25] * 4, atol=1e-15)
