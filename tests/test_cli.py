@@ -585,3 +585,24 @@ class TestProcessExit:
         if csv is not None:
             assert (tmp_path / "c.csv").read_bytes() == csv
             assert len(csv.splitlines()) == 65
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, starts",
+        [
+            (["entropy", "a.json"], 0, "stdout", b'{\n  "n": 3,'),
+            (["entropy", "bad.json"], 1, "stderr", b"entrospec: not valid JSON: "),
+        ],
+        ids=["command", "entrospec-error"],
+    )
+    def test_atexit_runs_only_after_an_uncaught_exception(self, tmp_path, argv, code, stream,
+                                                          starts):
+        # process_main called as the console script calls it; the table's
+        # uncaught-exception row is the case where the handlers do run
+        write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
+        (tmp_path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
+        child = ('import atexit, sys; from entrospec import cli; '
+                 'atexit.register(print, "atexit ran", file=sys.stderr); cli.process_main()')
+        proc = _child(["-c", child, *argv], tmp_path)
+        assert proc.returncode == code
+        assert getattr(proc, stream).startswith(starts)
+        assert b"atexit ran" not in proc.stderr
