@@ -2,16 +2,16 @@
 
 The determinant of the depolarized state is a degree-n polynomial in the
 mixing weight whose base-2 log equals n * (lam * S' - S), where S is the
-entropy curve. Given only an oracle for S (and optionally S'), asked
-once for all 63 rows of the library's curve grid after 0 (``CURVE_GRID``,
-the rows the ``curve`` command writes), the pipeline samples that
-log-determinant there, fits the polynomial by least squares on a
-Vandermonde system over 56 of those rows while holding out every 8th,
-extracts its roots through the companion matrix, and maps each root r
-back to an eigenvalue 1/n - 1/(n r). Trailing coefficients below the
-trim threshold correspond to eigenvalues exactly equal to 1/n (their
-linear factors are constant) and are counted separately instead of being
-rooted.
+entropy curve. Given only an oracle for S (and optionally S'), called on
+all 63 rows of the library's curve grid after 0 (``CURVE_GRID``, the rows
+the ``curve`` command writes) at once, two calls with S' and three
+without, the pipeline samples that log-determinant there, fits the
+polynomial by least squares on a Vandermonde system over 56 of those rows
+while holding out every 8th, extracts its roots through the companion
+matrix, and maps each root r back to an eigenvalue 1/n - 1/(n r).
+Trailing coefficients below the trim threshold correspond to eigenvalues
+exactly equal to 1/n (their linear factors are constant) and are counted
+separately instead of being rooted.
 """
 
 from __future__ import annotations
@@ -91,10 +91,11 @@ def sample_log2_determinant(oracle: EntropyOracle) -> np.ndarray:
     """Sample the log2 determinant of the mixed state on the curve grid.
 
     Returns n * (lam * S'(lam) - S(lam)) at the 63 rows of CURVE_GRID after
-    0, for every n, calling each oracle callable once on all those rows.
-    The derivative comes from ``derivative_fn`` when available, otherwise
-    from a central difference with step h = FD_STEP * lam: ``value_fn``
-    reads lam + h, lam - h, then lam, all inside (0, 1) for lam in (0, 0.9].
+    0, for every n, each oracle call taking all those rows at once. The
+    derivative comes from one ``derivative_fn`` call when available, and
+    ``value_fn`` is then called once; otherwise from a central difference
+    with step h = FD_STEP * lam, and ``value_fn`` is called three times, on
+    lam + h, lam - h, then lam, all inside (0, 1) for lam in (0, 0.9].
     """
     lams = CURVE_GRID[1:]
     if oracle.derivative_fn is not None:

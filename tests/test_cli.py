@@ -203,13 +203,6 @@ class TestEquivCommand:
         assert payload["verdict"] == "not_equivalent"
         assert payload["witness"] is None
 
-    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
-        a = write_state(tmp_path, "a.json", np.eye(2) / 2)
-        b = write_state(tmp_path, "b.json", np.eye(3) / 3)
-        code, _, err = run(capsys, ["equiv", a, b])
-        assert code == 2
-        assert "entrospec:" in err
-
     def test_bad_mode_exits_1(self, tmp_path, capsys):
         a = write_state(tmp_path, "a.json", np.eye(2) / 2)
         code, _, _ = run(capsys, ["equiv", a, a, "--mode", "bogus"])
@@ -247,17 +240,6 @@ class TestRecoverCommand:
         payload = json.loads(out)
         assert payload["derivative"] == "fd"
         assert payload["linf_error"] <= 1e-4
-
-    def test_unrecoverable_24_level_state_exits_4(self, tmp_path, capsys, rng):
-        # at n = 24 the degree-24 fit is too ill-conditioned for the default
-        # pipeline: the run must stop with a recovery error, not a junk
-        # spectrum or a traceback
-        state = write_state(tmp_path, "s.json", random_state(24, rng).matrix)
-        code, out, err = run(capsys, ["recover", state])
-        assert code == 4
-        assert out == ""
-        assert "entrospec:" in err
-        assert "Traceback" not in err
 
 
 class TestSelftestCommand:
@@ -415,39 +397,9 @@ def _child(args, cwd, env=None, prefix=(), **kwargs):
     return subprocess.run([*prefix, sys.executable, *args], env=child_env, cwd=cwd, **kwargs)
 
 
-# run the command's argv through main, then report the exit code and which
-# entrospec modules got loaded
-_LOADS_CHILD = """
-import contextlib, io, json, sys
-from entrospec.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("entrospec"))]))
-"""
-
-
 class TestCommandLoadsOnlyItsLayers:
-    """A CLI child imports the layers its command runs, and no other."""
-
-    @pytest.mark.parametrize(
-        "argv, runs, never",
-        [
-            (["entropy", "a.json"], {"entropy"}, {"equivalence", "recovery", "selftest"}),
-            (["curve", "a.json", "--out", "c.csv"], {"entropy"},
-             {"equivalence", "recovery", "selftest"}),
-            (["equiv", "a.json", "a.json"], {"equivalence"}, {"recovery", "selftest"}),
-            (["recover", "a.json"], {"recovery"}, {"equivalence", "selftest"}),
-        ],
-        ids=["entropy", "curve", "equiv", "recover"],
-    )
-    def test_command_module_set(self, tmp_path, argv, runs, never):
-        write_state(tmp_path, "a.json", np.diag([0.5, 0.3, 0.2]))
-        code, modules = json.loads(_child(["-c", _LOADS_CHILD, *argv], tmp_path,
-                                          check=True).stdout)
-        loaded = {m.removeprefix("entrospec.") for m in modules}
-        assert code == 0
-        assert runs <= loaded
-        assert not never & loaded, modules
+    """A bare import loads no layer; each command's layers are pinned by the
+    process table's children (``_LAYERS``)."""
 
     def test_bare_package_import_loads_no_numpy_and_no_submodule(self, tmp_path):
         child = ("import json, sys, entrospec; "
@@ -458,10 +410,17 @@ class TestCommandLoadsOnlyItsLayers:
 
 
 # `python -m entrospec.cli`, run as -m runs it, with an atexit handler that
-# prints only if the process ends through the interpreter. With RAISE set, the
-# entropy command raises an error main does not catch, printed as one line.
+# prints only if the process ends through the interpreter. os._exit first
+# lists the entrospec modules loaded, as JSON in modules.json next to TMPDIR.
+# With RAISE set, the entropy command raises an error main does not catch,
+# printed as one line.
 _ENTRY = """
-import atexit, os, runpy, sys
+import atexit, json, os, runpy, sys
+def _exit(code, exit=os._exit):
+    with open(os.path.join(os.environ["TMPDIR"], os.pardir, "modules.json"), "w") as f:
+        json.dump(sorted(m for m in sys.modules if m.startswith("entrospec")), f)
+    exit(code)
+os._exit = _exit
 if os.environ.get("RAISE"):
     import entrospec.entropy
     def entropy_of_spectrum(spectrum):
@@ -493,6 +452,14 @@ _ARGV = {
     "uncaught-exception": (["entropy", "a.json"], 1, "RuntimeError: not an entrospec error"),
 }
 
+# name: the layers its child loads, and the layers it never loads
+_LAYERS = {
+    "entropy": ({"entropy"}, {"equivalence", "recovery", "selftest"}),
+    "curve": ({"entropy"}, {"equivalence", "recovery", "selftest"}),
+    "equiv": ({"equivalence"}, {"recovery", "selftest"}),
+    "recover-n24": ({"recovery"}, {"equivalence", "selftest"}),
+}
+
 # a stream setup: the shell's redirection of the child's stdout or stderr (the
 # test makes the broken pipe), and the error of a failed write to stdout
 _SETUPS = {"default": ("", None), "stdout-closed": (">&-", None), "stderr-closed": ("2>&-", None),
@@ -520,6 +487,49 @@ def _row(name, setup="default", **env):
         setup == "full" and not os.path.exists("/dev/full"), reason="needs /dev/full"))
 
 
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """The table's state files, written once: its children and main read them."""
+    path = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(0)
+    a, u = random_state(4, rng).matrix, random_unitary(4, rng)
+    states = {"a": a, "conj": u @ a @ u.conj().T, "other": random_state(4, rng).matrix,
+              "two": np.eye(2) / 2, "n24": random_state(24, rng).matrix,
+              "n16": random_state(16, rng).matrix}
+    for stem, matrix in states.items():
+        write_state(path, f"{stem}.json", matrix)
+    (path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def main_runs():
+    """name: main's exit code, stdout, stderr and CSV bytes in process, run
+    once for all of the name's rows."""
+    return {}
+
+
+def _main_in_process(monkeypatch, capsys, name, env):
+    """main on ``name``'s argv in the current directory, checked against the
+    table's code and start."""
+    if "RAISE" in env:
+        monkeypatch.setattr("entrospec.entropy.entropy_of_spectrum", _raising)
+    argv, expected, starts = _ARGV[name]
+    try:
+        code, out, err = run(capsys, argv)
+    except RuntimeError as exc:
+        # main does not catch it, so the child ends through the
+        # interpreter: exit 1, the error, then the atexit handlers
+        code, out, err = 1, capsys.readouterr().out, f"RuntimeError: {exc}\natexit ran\n"
+    else:
+        # main prints its report or else its one error line, and no traceback
+        assert "Traceback" not in err and (out or err.count("\n") == 1)
+        assert (out == "") == err.startswith("entrospec: ")
+    assert code == expected and (out or err).startswith(starts)
+    csv = Path("c.csv").read_bytes() if "curve" in argv else None
+    return code, out, err, csv
+
+
 class TestProcessExit:
     """A CLI child reports what main() does in process, by one rule for each
     stream setup, ends without teardown and leaves no temporary files."""
@@ -543,39 +553,23 @@ class TestProcessExit:
             _row("recover-n24", "stderr-read-only"),
         ],
     )
-    def test_child_matches_main(self, tmp_path, monkeypatch, capsys, name, setup, env):
-        rng = np.random.default_rng(0)
-        a, u = random_state(4, rng).matrix, random_unitary(4, rng)
-        states = {"a": a, "conj": u @ a @ u.conj().T, "other": random_state(4, rng).matrix,
-                  "two": np.eye(2) / 2, "n24": random_state(24, rng).matrix,
-                  "n16": random_state(16, rng).matrix}
-        for stem, matrix in states.items():
-            write_state(tmp_path, f"{stem}.json", matrix)
-        (tmp_path / "bad.json").write_text('{"n": 2, "re": [[1, 0]', encoding="utf-8")
-        (tmp_path / "tmp").mkdir()
-        monkeypatch.chdir(tmp_path)
+    def test_child_matches_main(self, tmp_path, monkeypatch, capsys, cli_dir, main_runs,
+                                name, setup, env):
+        monkeypatch.chdir(cli_dir)
         # the help's line width, for this process and the child alike
         monkeypatch.setenv("COLUMNS", "80")
-        if "RAISE" in env:
-            monkeypatch.setattr("entrospec.entropy.entropy_of_spectrum", _raising)
+        if name not in main_runs:
+            main_runs[name] = _main_in_process(monkeypatch, capsys, name, env)
+        argv = _ARGV[name][0]
+        code, out, err, csv = main_runs[name]
+        if csv is not None:
+            (cli_dir / "c.csv").unlink()
 
-        argv, expected, starts = _ARGV[name]
-        try:
-            code, out, err = run(capsys, argv)
-        except RuntimeError as exc:
-            # main does not catch it, so the child ends through the
-            # interpreter: exit 1, the error, then the atexit handlers
-            code, out, err = 1, capsys.readouterr().out, f"RuntimeError: {exc}\natexit ran\n"
-        else:
-            # main prints its report, or its one error line, and no traceback
-            assert "Traceback" not in err and (out or err.count("\n") == 1)
-        assert code == expected and (out or err).startswith(starts)
-        csv = (tmp_path / "c.csv").read_bytes() if "curve" in argv else None
-
+        (tmp_path / "tmp").mkdir()
         read_end, write_end = os.pipe()
         os.close(read_end)
         with open(write_end, "wb") as broken_pipe:
-            proc = _child(["-c", _ENTRY, *argv], tmp_path,
+            proc = _child(["-c", _ENTRY, *argv], cli_dir,
                           env={"TMPDIR": str(tmp_path / "tmp"), **env},
                           prefix=["sh", "-c", f'exec "$@" {_SETUPS[setup][0]}', "sh"],
                           stdout=broken_pipe if setup == "broken-pipe" else subprocess.PIPE)
@@ -583,8 +577,14 @@ class TestProcessExit:
         assert child == _reported(setup, code, out, err)
         assert list((tmp_path / "tmp").iterdir()) == []
         if csv is not None:
-            assert (tmp_path / "c.csv").read_bytes() == csv
+            assert (cli_dir / "c.csv").read_bytes() == csv
             assert len(csv.splitlines()) == 65
+        if name in _LAYERS:
+            runs, never = _LAYERS[name]
+            modules = json.loads((tmp_path / "modules.json").read_text(encoding="utf-8"))
+            loaded = {m.removeprefix("entrospec.") for m in modules}
+            assert runs <= loaded
+            assert not never & loaded, modules
 
     @pytest.mark.parametrize(
         "argv, code, stream, starts",

@@ -355,14 +355,13 @@ def test_fused_curve_pass_is_bitwise_two_curve_passes(n, rng):
     states += [_low_rank_state(n, rank, rng) for rank in (1, 2, 3) if rank <= n]
     states.append(conjugate(states[0], random_unitary(n, rng)))
     for nodes in (default_nodes(n), CURVE_GRID[1:]):
-        for a in states:
-            for b in states:
+        # each state's scalar values, once for all of its pairs
+        values = [np.array([EntropyCurve(s.spectrum).value(lam) for lam in nodes])
+                  for s in states]
+        for a, value_a in zip(states, values):
+            for b, value_b in zip(states, values):
                 report = _decide(a, b, "nodes", nodes)
-                curve_a, curve_b = EntropyCurve(a.spectrum), EntropyCurve(b.spectrum)
-                expected = np.abs(
-                    np.array([curve_a.value(lam) for lam in nodes])
-                    - np.array([curve_b.value(lam) for lam in nodes])
-                )
+                expected = np.abs(value_a - value_b)
                 got = np.array([gap for _, gap in report.per_node_gaps])
                 assert got.tobytes() == expected.tobytes()
                 assert report.max_entropy_gap == expected.max()
