@@ -41,8 +41,8 @@ def _entropy_bits(w: np.ndarray) -> np.ndarray | float:
     states give 0.0 with no NaN anywhere.
     """
     safe = np.where(w > 0.0, w, 1.0)
-    # + 0.0 keeps a pure state's entropy from printing as -0.0
-    return -(safe * np.log2(safe)).sum(axis=-1) + 0.0
+    # 0.0 - sum, not -sum, keeps a pure state's entropy from printing as -0.0
+    return np.subtract(0.0, np.add.reduce(safe * np.log2(safe), axis=-1))
 
 
 def _curve_entropies(lams: np.ndarray, shifted: np.ndarray) -> np.ndarray:

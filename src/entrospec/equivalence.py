@@ -18,6 +18,7 @@ rho = U sigma U*, built from the two eigenbases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,12 @@ class EquivalenceReport:
         return out
 
 
+@functools.cache
 def default_nodes(n: int) -> np.ndarray:
     """The 2n weights i/(2n), i = 1..2n, of decide_nodes, as float64; includes 1.0.
+
+    The array is built once per n and is read-only, so every call with one
+    n returns the same array.
 
     In exact arithmetic any 2n - 2 distinct weights in (0, 1] separate
     distinct spectra. The gap g between two curves has g(0) = g'(0) = 0,
@@ -89,12 +94,14 @@ def default_nodes(n: int) -> np.ndarray:
     resolution instead, since a gap moves only as the square of a spectral
     perturbation.
     """
-    return np.arange(1, 2 * n + 1) / (2 * n)
+    nodes = np.arange(1, 2 * n + 1) / (2 * n)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def _sorted_distance(spec_a: Spectrum, spec_b: Spectrum) -> float:
     """Largest entrywise gap between two descending spectra."""
-    return float(np.abs(spec_a.as_array() - spec_b.as_array()).max())
+    return float(np.maximum.reduce(np.abs(spec_a.as_array() - spec_b.as_array())))
 
 
 def _decide(
@@ -120,9 +127,9 @@ def _decide(
     else:
         # both curves in one pass: column 0 is rho's, column 1 sigma's
         curves = _curve_entropies(nodes, np.array((spec_a.shifted(), spec_b.shifted())))
-        gap_values = np.abs(curves[:, 0] - curves[:, 1])
-        gaps = tuple(zip(nodes.tolist(), gap_values.tolist()))
-        max_gap = float(gap_values.max())
+        gap_values = np.abs(curves[:, 0] - curves[:, 1]).tolist()
+        gaps = tuple(zip(nodes.tolist(), gap_values))
+        max_gap = max(gap_values)
         equivalent = equivalent and max_gap <= ENTROPY_TOL
 
     # The witness U = V_rho V_sigma* maps sigma's k-th eigenvector onto

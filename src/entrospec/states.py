@@ -6,6 +6,12 @@ stores the result as ``eigensystem`` and, clamped and renormalized, as
 ``spectrum``. The stored matrix is read-only, so neither can go stale.
 Entropies, curves, oracles and the deciders all read that one spectrum,
 and unitary witnesses read the eigenvectors.
+
+The state builds its spectrum on the clamped float64 array itself, and
+skips the pass of the public ``Spectrum(values=...)`` constructor that
+checks each value is finite: values clipped to [0, 1] and divided by their
+positive sum are finite. An array whose sum is not positive (NaN from a
+failed solve) goes through that checked constructor instead.
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ class Spectrum:
     values compare and hash equal. Only non-emptiness and finiteness are
     checked (ValueError), not the order or the sum. The values as a float64
     array and their shifts are built once, here, and handed out read-only.
+
+    A ``QuantumState`` builds its spectrum with ``_of_array``, which skips
+    the finiteness check: its values are eigenvalues clipped to [0, 1] and
+    divided by their sum, which the state has checked is positive, so each
+    is finite by construction. Both paths set the fields in ``_store``.
     """
 
     values: tuple[float, ...]
@@ -57,15 +68,26 @@ class Spectrum:
     _shifted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        if not self.values:
+        values = tuple(map(float, self.values))
+        if not values:
             raise ValueError("spectrum must have at least one value")
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError(f"spectrum values must be finite, got {self.values!r}")
-        array = np.array(self.values, dtype=np.float64)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"spectrum values must be finite, got {values!r}")
+        self._store(np.array(values, dtype=np.float64))
+
+    @classmethod
+    def _of_array(cls, array: np.ndarray) -> Spectrum:
+        """The spectrum on a non-empty, finite float64 array, which it keeps; nothing is checked."""
+        spectrum = object.__new__(cls)
+        spectrum._store(array)
+        return spectrum
+
+    def _store(self, array: np.ndarray) -> None:
+        """Set ``values``, ``_array`` and ``_shifted`` from ``array``, which becomes read-only."""
         shifted = array - 1.0 / len(array)
         array.setflags(write=False)
         shifted.setflags(write=False)
+        object.__setattr__(self, "values", tuple(array.tolist()))
         object.__setattr__(self, "_array", array)
         object.__setattr__(self, "_shifted", shifted)
 
@@ -108,14 +130,14 @@ class QuantumState:
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
         finite = np.isfinite(m)
-        if not finite.all():
+        if not np.logical_and.reduce(finite, axis=None):
             bad = np.argwhere(~finite)
             first = (int(bad[0][0]), int(bad[0][1]))
             raise NotFinite(len(bad), first, complex(m[first]))
 
         half = 0.5 * m
         half_adjoint = half.conj().T
-        herm_residual = 2.0 * float(np.abs(half - half_adjoint).max())
+        herm_residual = 2.0 * float(np.maximum.reduce(np.abs(half - half_adjoint), axis=None))
         if not herm_residual <= HERM_TOL:
             raise NotHermitian(herm_residual, HERM_TOL)
         m = half + half_adjoint
@@ -140,8 +162,10 @@ class QuantumState:
         vectors.setflags(write=False)
         object.__setattr__(self, "eigensystem", (values, vectors))
         clamped = values.clip(0.0, 1.0)
-        clamped /= float(clamped.sum())
-        object.__setattr__(self, "spectrum", Spectrum(values=clamped.tolist()))
+        total = float(np.add.reduce(clamped))
+        clamped /= total
+        spectrum = Spectrum._of_array(clamped) if total > 0.0 else Spectrum(values=clamped.tolist())
+        object.__setattr__(self, "spectrum", spectrum)
 
 
 def validate_state(data) -> QuantumState:

@@ -117,6 +117,15 @@ class TestDecideNodes:
         assert nodes.tolist() == [1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6, 1.0]
         assert np.all(np.diff(nodes) > 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_default_nodes_are_built_once_and_read_only(self, n):
+        # t2 shares one array per n, so no caller may change it
+        nodes = default_nodes(n)
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.5
+        assert default_nodes(n).tobytes() == nodes.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 64])
     def test_tested_weights_are_default_nodes_bitwise(self, n):
         # each weight is the correctly rounded i / (2n), the same bits as
@@ -300,15 +309,17 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
 
 def test_one_spectrum_read_per_state(rng, monkeypatch):
     # each state builds its spectrum once, when it is constructed; no
-    # decision builds another
+    # decision builds another. Both ways to build a spectrum, the public
+    # constructor and a state's build from its clamped eigenvalues, store
+    # the fields through _store, so it counts every spectrum built
     built = []
-    post_init = Spectrum.__post_init__
+    store = Spectrum._store
 
-    def counting(self):
+    def counting(self, array):
         built.append(self)
-        post_init(self)
+        store(self, array)
 
-    monkeypatch.setattr(Spectrum, "__post_init__", counting)
+    monkeypatch.setattr(Spectrum, "_store", counting)
     rho = random_state(6, rng)
     sigma = conjugate(rho, random_unitary(6, rng))
     other = random_state(6, rng)

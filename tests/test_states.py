@@ -178,6 +178,17 @@ class TestCheckedConstructor:
         assert math.isnan(exc.value.min_eigenvalue)
         assert "smallest eigenvalue nan" in str(exc.value)
 
+    def test_eigenvalues_summing_to_nan_are_refused_as_spectrum_values(self, monkeypatch):
+        # a NaN above the smallest eigenvalue passes the PSD check; the
+        # clamped values then sum to NaN, and the state builds its spectrum
+        # through the checked constructor, which refuses it
+        def nan_above_smallest(m):
+            return np.array([0.0, np.nan]), np.eye(2, dtype=np.complex128)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_above_smallest)
+        with pytest.raises(ValueError, match="spectrum values must be finite"):
+            QuantumState(np.eye(2) / 2)
+
     def test_dimension_comes_from_the_matrix(self):
         state = QuantumState(np.eye(3) / 3)
         assert state.dimension == 3
@@ -321,6 +332,46 @@ class TestStateSpectrum:
         assert list(values) == sorted(values, reverse=True)
         rebuilt = vectors @ np.diag(values) @ vectors.conj().T
         np.testing.assert_allclose(rebuilt, state.matrix, atol=1e-12)
+
+
+def _spectrum_test_states(n, rng):
+    """Full rank, rank 1, rank 2, I/n and diagonal states with exact zeros of each sign."""
+    def of_rank(rank):
+        g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        m = g @ g.conj().T
+        return m / np.trace(m).real
+
+    diagonal = np.arange(n, 0, -1, dtype=np.float64)
+    diagonal[1::2] = 0.0
+    diagonal /= diagonal.sum()
+    # a -0.0 diagonal entry gives a -0.0 eigenvalue, whose sign clip and
+    # np.maximum do not treat alike
+    return {
+        "full-rank": of_rank(n),
+        "rank-1": of_rank(1),
+        "rank-2": of_rank(min(2, n)),
+        "maximally-mixed": np.eye(n) / n,
+        "diagonal-zeros": np.diag(diagonal),
+        "diagonal-negative-zeros": np.diag(np.where(diagonal == 0.0, -0.0, diagonal)),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_state_spectrum_is_the_public_constructors_bit_for_bit(n, rng):
+    # a state builds its spectrum from its clamped array, skipping the
+    # finiteness pass; compared by repr and bytes, since -0.0 == 0.0
+    for kind, m in _spectrum_test_states(n, rng).items():
+        state = validate_state(m)
+        clamped = state.eigensystem[0].clip(0.0, 1.0)
+        public = Spectrum(values=clamped / clamped.sum())
+        built = state.spectrum
+        assert repr(built.values) == repr(public.values), kind
+        assert built.as_array().tobytes() == public.as_array().tobytes(), kind
+        assert built.shifted().tobytes() == public.shifted().tobytes(), kind
+        for array in (built.as_array(), built.shifted()):
+            assert not array.flags.writeable, kind
+        assert built == public and hash(built) == hash(public), kind
+        assert repr(built) == repr(public), kind
 
 
 class TestRandomState:
