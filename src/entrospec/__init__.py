@@ -54,7 +54,6 @@ _MODULE_OF = {
     "depolarize": "states",
     "random_state": "states",
     "random_unitary": "states",
-    "validate_state": "states",
 }
 
 __all__ = sorted(_MODULE_OF)

@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
 )
 from .matrixio import load_matrix
-from .states import QuantumState, validate_state
+from .states import QuantumState
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_state(path: str) -> QuantumState:
-    return validate_state(load_matrix(path))
+    return QuantumState(load_matrix(path))
 
 
 def _emit(payload: dict) -> None:

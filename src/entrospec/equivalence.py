@@ -25,7 +25,7 @@ import numpy as np
 
 from .entropy import CURVE_GRID, _curve_entropies, entropy_of_spectrum
 from .errors import DimensionMismatch
-from .states import QuantumState, Spectrum, validate_state
+from .states import QuantumState, Spectrum
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -231,6 +231,6 @@ def equal_entropy_pair(n: int) -> tuple[QuantumState, QuantumState]:
     t = 0.5 * (lo + hi)
     matched = tuple(sorted(family(t), reverse=True))
 
-    state_a = validate_state(np.diag(np.asarray(reference, dtype=np.complex128)))
-    state_b = validate_state(np.diag(np.asarray(matched, dtype=np.complex128)))
+    state_a = QuantumState(np.diag(np.asarray(reference, dtype=np.complex128)))
+    state_b = QuantumState(np.diag(np.asarray(matched, dtype=np.complex128)))
     return state_a, state_b

@@ -37,7 +37,6 @@ from .states import (
     depolarize,
     random_state,
     random_unitary,
-    validate_state,
 )
 
 
@@ -65,7 +64,7 @@ def _conjugate_pair(rng, high: int = 8) -> tuple[QuantumState, QuantumState]:
     n = _random_dim(rng, high)
     state = random_state(n, rng)
     u = random_unitary(n, rng)
-    return state, validate_state(u @ state.matrix @ u.conj().T)
+    return state, QuantumState(u @ state.matrix @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ stores the result as ``eigensystem`` and, clamped and renormalized, as
 Entropies, curves, oracles and the deciders all read that one spectrum,
 and unitary witnesses read the eigenvectors.
 
-The state builds its spectrum on the clamped float64 array itself, and
-skips the pass of the public ``Spectrum(values=...)`` constructor that
-checks each value is finite: values clipped to [0, 1] and divided by their
-positive sum are finite. An array whose sum is not positive (NaN from a
-failed solve) goes through that checked constructor instead.
+``QuantumState(data)`` is the one way to build a state. It builds its
+spectrum on the clamped float64 array itself, and skips the pass of the
+public ``Spectrum(values=...)`` constructor that checks each value is
+finite: values clipped to [0, 1] and divided by their positive sum are
+finite. A sum that is not positive (NaN from a failed solve) raises
+``NotPositiveSemidefinite``, as a solve that LAPACK gives up on does.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ class Spectrum:
     checked (ValueError), not the order or the sum. The values as a float64
     array and their shifts are built once, here, and handed out read-only.
 
-    A ``QuantumState`` builds its spectrum with ``_of_array``, which skips
-    the finiteness check: its values are eigenvalues clipped to [0, 1] and
-    divided by their sum, which the state has checked is positive, so each
-    is finite by construction. Both paths set the fields in ``_store``.
+    A ``QuantumState`` builds its spectrum only with ``_of_array``, which
+    skips the finiteness check: its values are eigenvalues clipped to
+    [0, 1] and divided by their sum, which the state has checked is
+    positive, so each is finite by construction. Both paths set the fields
+    in ``_store``.
     """
 
     values: tuple[float, ...]
@@ -119,7 +121,9 @@ class QuantumState:
     columns, both read-only. ``spectrum`` is the eigenvalues clamped to
     [0, 1], which removes the round-off the PSD check bounded by
     ``PSD_TOL``, and renormalized by the clamped sum (at least
-    1 - (n+1) * 1e-9) to an exact unit sum; the order stays descending.
+    1 - (n+1) * 1e-9) to an exact unit sum, with -0.0 made 0.0; the order
+    stays descending. A failed solve raises ``NotPositiveSemidefinite``
+    with a NaN smallest eigenvalue.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -163,13 +167,18 @@ class QuantumState:
         object.__setattr__(self, "eigensystem", (values, vectors))
         clamped = values.clip(0.0, 1.0)
         total = float(np.add.reduce(clamped))
+        if not total > 0.0:  # a NaN above the smallest eigenvalue
+            raise NotPositiveSemidefinite(math.nan, PSD_TOL)
         clamped /= total
-        spectrum = Spectrum._of_array(clamped) if total > 0.0 else Spectrum(values=clamped.tolist())
-        object.__setattr__(self, "spectrum", spectrum)
+        clamped += 0.0  # -0.0 becomes 0.0; every other value is unchanged
+        object.__setattr__(self, "spectrum", Spectrum._of_array(clamped))
 
 
 def validate_state(data) -> QuantumState:
-    """The checked state of ``data``; the same as ``QuantumState(data)``."""
+    """``QuantumState(data)``, kept for ``perfbench/workloads.py`` alone; not a public name.
+
+    A function, not an alias, so that the benchmark's tracer times it.
+    """
     return QuantumState(data)
 
 

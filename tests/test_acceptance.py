@@ -15,6 +15,7 @@ from numpy.polynomial.polynomial import polyval
 
 from entrospec import (
     EntropyCurve,
+    QuantumState,
     decide_grid,
     decide_nodes,
     decide_spectral,
@@ -26,7 +27,6 @@ from entrospec import (
     random_unitary,
     recover_spectrum,
     run_selftest,
-    validate_state,
 )
 from entrospec.equivalence import ENTROPY_TOL
 
@@ -68,7 +68,7 @@ def test_criterion_1_entropy_range():
             failures.append(f"entropy {entropy!r} outside [0, log2({n})]")
             break
     for n in range(2, 9):
-        gap = abs(entropy_of_spectrum(validate_state(np.eye(n) / n).spectrum) - math.log2(n))
+        gap = abs(entropy_of_spectrum(QuantumState(np.eye(n) / n).spectrum) - math.log2(n))
         if gap > 1e-12:
             failures.append(f"maximally mixed entropy off by {gap:.2e} at n={n}")
     elapsed = time.perf_counter() - start

@@ -10,6 +10,7 @@ import pytest
 
 from entrospec import (
     EntropyOracle,
+    QuantumState,
     decide_grid,
     oracle_from_spectrum,
     random_state,
@@ -17,7 +18,6 @@ from entrospec import (
     recover_spectrum,
     save_matrix,
     selftest,
-    validate_state,
 )
 from entrospec.cli import main
 from entrospec.entropy import CURVE_GRID
@@ -141,7 +141,7 @@ def test_curve_t1_and_recovery_read_one_grid(tmp_path, capsys):
     _, rows = read_csv(out_csv)
     curve = np.array([float(row[0]) for row in rows[1:]])
 
-    state = validate_state(matrix)
+    state = QuantumState(matrix)
     t1 = np.array([lam for lam, _ in decide_grid(state, state).per_node_gaps])
 
     base = oracle_from_spectrum(state.spectrum)

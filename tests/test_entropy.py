@@ -6,11 +6,11 @@ import pytest
 
 from entrospec import (
     EntropyCurve,
+    QuantumState,
     Spectrum,
     determinant_polynomial,
     entropy_of_spectrum,
     random_state,
-    validate_state,
 )
 from entrospec.entropy import CURVE_GRID, _curve_entropies
 from entrospec.errors import LambdaOutOfRange, SingularEndpoint
@@ -42,7 +42,7 @@ class TestEntropyOfSpectrum:
 
 class TestCheckedStateEntropy:
     def test_maximal_mixed_qubit(self):
-        assert entropy_of_spectrum(validate_state(np.eye(2) / 2).spectrum) == pytest.approx(
+        assert entropy_of_spectrum(QuantumState(np.eye(2) / 2).spectrum) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -50,7 +50,7 @@ class TestCheckedStateEntropy:
         assert entropy_of_spectrum(diag_state(1.0, 0.0).spectrum) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_matrix(self):
-        state = validate_state(np.array([[0.5, 0.25], [0.25, 0.5]]))
+        state = QuantumState(np.array([[0.5, 0.25], [0.25, 0.5]]))
         assert entropy_of_spectrum(state.spectrum) == pytest.approx(TWO_STATE_ENTROPY, abs=1e-12)
 
 

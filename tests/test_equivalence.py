@@ -3,6 +3,7 @@ import pytest
 
 from entrospec import (
     EntropyCurve,
+    QuantumState,
     Spectrum,
     decide_grid,
     decide_nodes,
@@ -14,7 +15,6 @@ from entrospec import (
     oracle_from_spectrum,
     random_state,
     random_unitary,
-    validate_state,
 )
 from entrospec.entropy import CURVE_GRID
 from entrospec.equivalence import ENTROPY_TOL, SPECTRUM_TOL, _decide
@@ -130,7 +130,7 @@ class TestDecideNodes:
     def test_tested_weights_are_default_nodes_bitwise(self, n):
         # each weight is the correctly rounded i / (2n), the same bits as
         # Python's true division
-        state = validate_state(np.eye(n) / n)
+        state = QuantumState(np.eye(n) / n)
         tested = np.array([lam for lam, _ in decide_nodes(state, state).per_node_gaps])
         rounded = np.array([i / (2 * n) for i in range(1, 2 * n + 1)])
         assert tested.tobytes() == default_nodes(n).tobytes() == rounded.tobytes()
@@ -173,7 +173,7 @@ class TestDecideSpectral:
         assert not decide_spectral(diag_state(1.0, 0.0), diag_state(0.5, 0.5)).equivalent
 
     def test_diagonal_vs_hand_computed(self):
-        offdiag = validate_state(np.array([[0.5, 0.25], [0.25, 0.5]]))
+        offdiag = QuantumState(np.array([[0.5, 0.25], [0.25, 0.5]]))
         assert decide_spectral(diag_state(0.75, 0.25), offdiag).equivalent
 
     def test_dimension_mismatch(self, rng):
@@ -277,9 +277,9 @@ def test_depolarized_pairs_preserve_equivalence(rng):
 
 def test_one_eigensolve_per_state(rng, monkeypatch):
     # validation decomposes each state once; everything after reads that
-    rho = validate_state(random_state(8, rng).matrix)
+    rho = QuantumState(random_state(8, rng).matrix)
     sigma = conjugate(rho, random_unitary(8, rng))
-    other = validate_state(random_state(8, rng).matrix)
+    other = QuantumState(random_state(8, rng).matrix)
 
     calls = []
 
@@ -303,7 +303,7 @@ def test_one_eigensolve_per_state(rng, monkeypatch):
     assert calls == []
 
     # the counters do see the solve of a state not yet decomposed
-    validate_state(rho.matrix)
+    QuantumState(rho.matrix)
     assert calls == ["eigh"]
 
 
@@ -336,7 +336,7 @@ def test_one_spectrum_read_per_state(rng, monkeypatch):
 def _low_rank_state(n, rank, rng):
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     m = g @ g.conj().T
-    return validate_state(m / np.trace(m).real)
+    return QuantumState(m / np.trace(m).real)
 
 
 def _degenerate_state(n, rng):

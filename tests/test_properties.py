@@ -23,7 +23,6 @@ from entrospec import (
     random_state,
     random_unitary,
     save_matrix,
-    validate_state,
 )
 
 from conftest import conjugate, diag_state
@@ -42,7 +41,7 @@ def test_constructor_accepts_every_conjugated_simplex_point(seed, weights):
     assume(sum(weights) > 0.0)
     x = np.asarray(weights) / sum(weights)
     u = random_unitary(len(x), np.random.default_rng(seed))
-    state = validate_state(u @ np.diag(x) @ u.conj().T)
+    state = QuantumState(u @ np.diag(x) @ u.conj().T)
     assert np.array_equal(state.matrix, state.matrix.conj().T)
     assert not state.matrix.flags.writeable
     spectrum = state.spectrum.as_array()
