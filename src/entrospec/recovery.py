@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .entropy import CURVE_GRID, EntropyCurve
+from .entropy import CURVE_GRID, EntropyCurve, determinant_polynomial
 from .errors import ComplexRoots, DegreeDeficit, IllConditioned
 from .states import Spectrum
 
@@ -34,6 +34,11 @@ ROOT_IMAG_TOL = 1e-6
 # which of the sampled grid rows j = 1..63 the fit holds out: j = 8, 16, ..., 56
 _HELD_OUT = np.arange(1, len(CURVE_GRID)) % 8 == 0
 _HELD_OUT.setflags(write=False)
+# the 56 grid rows the fit solves on and the 7 it checks the fit against
+_FIT_ROWS = CURVE_GRID[1:][~_HELD_OUT]
+_FIT_ROWS.setflags(write=False)
+_HELD_OUT_ROWS = CURVE_GRID[1:][_HELD_OUT]
+_HELD_OUT_ROWS.setflags(write=False)
 
 
 def _check_dimension(n) -> None:
@@ -124,10 +129,9 @@ def fit_determinant_polynomial(log2_dets: np.ndarray, n: int) -> tuple[np.ndarra
     inconsistent oracle rather than a fixable fit.
     """
     _check_dimension(n)
-    nodes = CURVE_GRID[1:]
     log2_dets = np.asarray(log2_dets, dtype=np.float64)
-    if log2_dets.shape != nodes.shape:
-        raise ValueError(f"expected {len(nodes)} samples, one per grid row after 0, "
+    if log2_dets.shape != _HELD_OUT.shape:
+        raise ValueError(f"expected {len(_HELD_OUT)} samples, one per grid row after 0, "
                          f"got shape {log2_dets.shape}")
     finite = np.isfinite(log2_dets)
     if not finite.all():
@@ -141,13 +145,13 @@ def fit_determinant_polynomial(log2_dets: np.ndarray, n: int) -> tuple[np.ndarra
         samples = np.array([2.0 ** log2_det for log2_det in fit_rows.tolist()])
     except OverflowError:  # no state's sample does: its log2 det is <= 0
         raise IllConditioned(float(fit_rows.max()), FIT_RESIDUAL_BOUND) from None
-    vander = np.polynomial.polynomial.polyvander(nodes[~_HELD_OUT], n)
+    vander = np.polynomial.polynomial.polyvander(_FIT_ROWS, n)
     coeffs, _, _, _ = np.linalg.lstsq(vander, samples, rcond=None)
     if not np.all(np.isfinite(coeffs)):
         raise IllConditioned(math.inf, FIT_RESIDUAL_BOUND)
     coeffs[0] = (1.0 / n) ** n
 
-    predicted = np.polynomial.polynomial.polyval(nodes[_HELD_OUT], coeffs)
+    predicted = np.polynomial.polynomial.polyval(_HELD_OUT_ROWS, coeffs)
     residual = math.inf
     if np.all(predicted > 0.0):
         residual = float(np.max(np.abs(np.log2(predicted) - log2_dets[_HELD_OUT])))
@@ -156,20 +160,8 @@ def fit_determinant_polynomial(log2_dets: np.ndarray, n: int) -> tuple[np.ndarra
     return coeffs, residual
 
 
-def recover_spectrum(oracle: EntropyOracle) -> RecoveredSpectrum:
-    """Reconstruct the full sorted spectrum from the entropy oracle.
-
-    Samples the curve grid (see sample_log2_determinant), fits the
-    determinant polynomial to the samples (see fit_determinant_polynomial),
-    trims trailing coefficients below COEFF_TRIM_TOL relative to the
-    largest one (each trimmed degree is an eigenvalue exactly 1/n: a zero
-    shift makes its factor the constant 1/n, lowering the polynomial
-    degree), roots the remainder via the companion matrix, and maps every
-    root r to the eigenvalue 1/n - 1/(n r). The values are clamped to
-    [0, 1], sorted descending, and renormalized to unit sum.
-    """
-    n = oracle.dimension
-    coeffs, residual = fit_determinant_polynomial(sample_log2_determinant(oracle), n)
+def _spectrum_of_coefficients(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, int, float]:
+    """recover_spectrum's root step: fitted coefficients to (values, trimmed degree, sum drift)."""
     kept = np.polynomial.polynomial.polytrim(
         coeffs, COEFF_TRIM_TOL * float(np.max(np.abs(coeffs)))
     )
@@ -190,10 +182,45 @@ def recover_spectrum(oracle: EntropyOracle) -> RecoveredSpectrum:
     if total <= 0.0:
         raise DegreeDeficit(tuple(eigenvalues.tolist()))
     drift = abs(total - 1.0)
-    eigenvalues = np.sort(clipped / total)[::-1]
-    return RecoveredSpectrum(
-        values=tuple(float(x) for x in eigenvalues),
-        residual=residual,
-        trimmed_degree=trimmed,
-        sum_drift=drift,
-    )
+    return np.sort(clipped / total)[::-1], trimmed, drift
+
+
+def _noise_gain(spectrum: Spectrum) -> float:
+    """Infinity norm of d(recovered spectrum)/d(fitting samples) at the true spectrum.
+
+    First-order chain through recover_spectrum: the least-squares fit of
+    2**s with the constant coefficient pinned, each root r = -1/(n u) moved
+    by -dp(r)/p'(r), each eigenvalue 1/n - 1/(n r) by dr/(n r^2), then the
+    renormalization to unit sum. No eigenvalue may equal 1/n.
+    """
+    n = spectrum.dimension
+    poly = np.polynomial.polynomial
+    det = determinant_polynomial(spectrum)
+    d_samples = poly.polyval(_FIT_ROWS, det) * np.log(2.0)
+    d_coeffs = np.linalg.pinv(poly.polyvander(_FIT_ROWS, n)) * d_samples
+    d_coeffs[0] = 0.0
+    roots = -1.0 / (n * spectrum.shifted())
+    slopes = poly.polyval(roots, poly.polyder(det))
+    d_roots = -(poly.polyvander(roots, n) @ d_coeffs) / slopes[:, None]
+    d_values = d_roots / (n * roots * roots)[:, None]
+    d_values -= np.outer(spectrum.as_array(), d_values.sum(axis=0))
+    return float(np.max(np.abs(d_values).sum(axis=1)))
+
+
+def recover_spectrum(oracle: EntropyOracle) -> RecoveredSpectrum:
+    """Reconstruct the full sorted spectrum from the entropy oracle.
+
+    Samples the curve grid (see sample_log2_determinant), fits the
+    determinant polynomial to the samples (see fit_determinant_polynomial),
+    trims trailing coefficients below COEFF_TRIM_TOL relative to the
+    largest one (each trimmed degree is an eigenvalue exactly 1/n: a zero
+    shift makes its factor the constant 1/n, lowering the polynomial
+    degree), roots the remainder via the companion matrix, and maps every
+    root r to the eigenvalue 1/n - 1/(n r). The values are clamped to
+    [0, 1], sorted descending, and renormalized to unit sum.
+    """
+    n = oracle.dimension
+    coeffs, residual = fit_determinant_polynomial(sample_log2_determinant(oracle), n)
+    values, trimmed, drift = _spectrum_of_coefficients(coeffs, n)
+    return RecoveredSpectrum(values=tuple(values.tolist()), residual=residual,
+                             trimmed_degree=trimmed, sum_drift=drift)

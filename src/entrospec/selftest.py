@@ -30,14 +30,8 @@ from .equivalence import (
 )
 from .errors import EntrospecError
 from .matrixio import load_matrix, save_matrix
-from .recovery import _HELD_OUT, EntropyOracle, oracle_from_spectrum, recover_spectrum
-from .states import (
-    QuantumState,
-    Spectrum,
-    depolarize,
-    random_state,
-    random_unitary,
-)
+from .recovery import EntropyOracle, _noise_gain, oracle_from_spectrum, recover_spectrum
+from .states import QuantumState, depolarize, random_state, random_unitary
 
 
 @dataclass(frozen=True)
@@ -282,29 +276,6 @@ def _noisy_oracle(state: QuantumState, eps: float, rng: np.random.Generator) -> 
         return lambda lams: fn(lams) + eps * rng.uniform(-1.0, 1.0, lams.shape)
 
     return EntropyOracle(noisy(curve.value), noisy(curve.derivative), state.dimension)
-
-
-def _noise_gain(spectrum: Spectrum) -> float:
-    """Infinity norm of d(recovered spectrum)/d(fitting samples) at the true spectrum.
-
-    First-order chain through recover_spectrum: the least-squares fit of
-    2**s with the constant coefficient pinned, each root r = -1/(n u) moved
-    by -dp(r)/p'(r), each eigenvalue 1/n - 1/(n r) by dr/(n r^2), then the
-    renormalization to unit sum. No eigenvalue may equal 1/n.
-    """
-    n = spectrum.dimension
-    poly = np.polynomial.polynomial
-    nodes = CURVE_GRID[1:][~_HELD_OUT]
-    det = determinant_polynomial(spectrum)
-    d_samples = poly.polyval(nodes, det) * np.log(2.0)
-    d_coeffs = np.linalg.pinv(poly.polyvander(nodes, n)) * d_samples
-    d_coeffs[0] = 0.0
-    roots = -1.0 / (n * spectrum.shifted())
-    slopes = poly.polyval(roots, poly.polyder(det))
-    d_roots = -(poly.polyvander(roots, n) @ d_coeffs) / slopes[:, None]
-    d_values = d_roots / (n * roots * roots)[:, None]
-    d_values -= np.outer(spectrum.as_array(), d_values.sum(axis=0))
-    return float(np.max(np.abs(d_values).sum(axis=1)))
 
 
 def _prop_recovery_noise_bound(rng):

@@ -17,7 +17,7 @@ from entrospec import (
 )
 from entrospec.entropy import CURVE_GRID
 from entrospec.errors import ComplexRoots, DegreeDeficit, IllConditioned
-from entrospec.recovery import FD_STEP
+from entrospec.recovery import FD_STEP, _noise_gain, _spectrum_of_coefficients
 
 from conftest import diag_state
 
@@ -218,10 +218,16 @@ class TestOneOraclePass:
 
 
 class TestRecoverSpectrum:
-    def test_maximally_mixed_trims_everything(self):
-        result = recover_spectrum(oracle_from_spectrum(diag_state(*[0.25] * 4).spectrum))
-        assert result.values == (0.25, 0.25, 0.25, 0.25)
-        assert result.trimmed_degree == 4
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_maximally_mixed_trims_everything(self, n):
+        # exact for every n <= 12, as README says; n = 13 raises ComplexRoots.
+        # Exact is n copies of 1/n over their float sum, the state's own
+        # spectrum: 1/n itself but at n = 6 and 7, where the sum is below 1
+        spectrum = diag_state(*[1.0 / n] * n).spectrum
+        result = recover_spectrum(oracle_from_spectrum(spectrum))
+        flat = np.full(n, 1.0 / n)
+        assert result.values == spectrum.values == tuple((flat / flat.sum()).tolist())
+        assert result.trimmed_degree == n
         assert result.residual <= 1e-9
 
     def test_two_level_state(self):
@@ -321,6 +327,30 @@ class TestRecoverSpectrum:
         )
         with pytest.raises(DegreeDeficit, match="every recovered eigenvalue clipped to zero"):
             recover_spectrum(oracle)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_noise_gain_is_the_recovery_jacobian(n, rng):
+    # central differences of the fit and recover_spectrum's root step in each
+    # grid sample; the held-out samples do not move the fit, so their columns
+    # are zero
+    spectrum = random_state(n, rng).spectrum
+    samples = sample_log2_determinant(oracle_from_spectrum(spectrum))
+
+    def fitted_spectrum(samples):
+        coeffs, _ = fit_determinant_polynomial(samples, n)
+        return _spectrum_of_coefficients(coeffs, n)[0]
+
+    step = 1e-7
+    columns = []
+    for i in range(len(samples)):
+        delta = np.zeros(len(samples))
+        delta[i] = step
+        up = fitted_spectrum(samples + delta)
+        down = fitted_spectrum(samples - delta)
+        columns.append((up - down) / (2.0 * step))
+    finite_difference = float(np.max(np.abs(np.stack(columns, axis=1)).sum(axis=1)))
+    assert abs(finite_difference - _noise_gain(spectrum)) <= 1e-4 * finite_difference
 
 
 def test_recovered_as_spectrum(rng):

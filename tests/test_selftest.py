@@ -5,18 +5,9 @@ import numpy as np
 import pytest
 
 import entrospec.matrixio as matrixio
-from entrospec import (
-    ComplexRoots,
-    decide_spectral,
-    depolarize,
-    fit_determinant_polynomial,
-    oracle_from_spectrum,
-    random_state,
-    sample_log2_determinant,
-    selftest,
-)
+from entrospec import ComplexRoots, decide_spectral, depolarize, selftest
 from entrospec.cli import main
-from entrospec.selftest import _noise_gain, run_selftest
+from entrospec.selftest import run_selftest
 
 # Each property's generator is keyed [seed, index], so a reorder changes the
 # draws of every property it moves: it is as deliberate as an __all__ change.
@@ -97,32 +88,6 @@ def test_roundtrip_checks_the_renormalized_sum(monkeypatch):
     assert not passed, detail
     # within the roundtrip bound: only the sum check can catch it
     assert worst <= 1e-6
-
-
-def _fitted_spectrum(samples, n):
-    # recover_spectrum's steps after the fit, for a full-rank spectrum with
-    # real roots and no eigenvalue at 1/n: root, map, renormalize, sort
-    coeffs, _ = fit_determinant_polynomial(samples, n)
-    values = 1.0 / n - 1.0 / (n * np.polynomial.polynomial.polyroots(coeffs).real)
-    return np.sort(values / values.sum())
-
-
-@pytest.mark.parametrize("n", [3, 6])
-def test_noise_gain_is_the_recovery_jacobian(n, rng):
-    # central differences of the fitted spectrum in each grid sample; the
-    # held-out samples do not move the fit, so their columns are zero
-    spectrum = random_state(n, rng).spectrum
-    samples = sample_log2_determinant(oracle_from_spectrum(spectrum))
-    step = 1e-7
-    columns = []
-    for i in range(len(samples)):
-        delta = np.zeros(len(samples))
-        delta[i] = step
-        up = _fitted_spectrum(samples + delta, n)
-        down = _fitted_spectrum(samples - delta, n)
-        columns.append((up - down) / (2.0 * step))
-    finite_difference = float(np.max(np.abs(np.stack(columns, axis=1)).sum(axis=1)))
-    assert abs(finite_difference - _noise_gain(spectrum)) <= 1e-4 * finite_difference
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, "42", None])

@@ -169,23 +169,16 @@ class TestCheckedConstructor:
         # repr, so that nan matches nan and the printed form is pinned too
         assert repr(getattr(exc.value, field)) == repr(value)
 
-    def test_failed_eigensolve_is_not_positive_semidefinite(self, monkeypatch):
-        def fails(m):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fails)
-        with pytest.raises(NotPositiveSemidefinite) as exc:
-            QuantumState(np.eye(2) / 2)
-        assert math.isnan(exc.value.min_eigenvalue)
-        assert "smallest eigenvalue nan" in str(exc.value)
-
-    def test_eigenvalues_summing_to_nan_are_refused_as_spectrum_values(self, monkeypatch):
+    @pytest.mark.parametrize("solve", ["linalg-error", "nan-above-smallest"])
+    def test_failed_eigensolve_is_not_psd(self, solve, monkeypatch):
         # a NaN above the smallest eigenvalue passes the PSD check; the
         # clamped values then sum to NaN, a failed solve like LinAlgError
-        def nan_above_smallest(m):
+        def eigh(m):
+            if solve == "linalg-error":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return np.array([0.0, np.nan]), np.eye(2, dtype=np.complex128)
 
-        monkeypatch.setattr(np.linalg, "eigh", nan_above_smallest)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         with pytest.raises(NotPositiveSemidefinite) as exc:
             QuantumState(np.eye(2) / 2)
         assert math.isnan(exc.value.min_eigenvalue)
