@@ -11,7 +11,8 @@ while holding out every 8th, extracts its roots through the companion
 matrix, and maps each root r back to an eigenvalue 1/n - 1/(n r).
 Trailing coefficients below the trim threshold correspond to eigenvalues
 exactly equal to 1/n (their linear factors are constant) and are counted
-separately instead of being rooted.
+separately instead of being rooted. The estimates, sorted descending, become
+a spectrum by the rule a state's eigenvalues follow, ``Spectrum._of_estimates``.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class RecoveredSpectrum:
     ``residual`` is the max absolute log2-determinant mismatch at the
     held-out validation nodes; ``trimmed_degree`` counts eigenvalues
     recovered as exactly 1/n through coefficient trimming; ``sum_drift``
-    is how far the recovered values summed from 1 before the final
+    is how far the clamped recovered values summed from 1 before the final
     renormalization.
     """
 
@@ -160,8 +161,8 @@ def fit_determinant_polynomial(log2_dets: np.ndarray, n: int) -> tuple[np.ndarra
     return coeffs, residual
 
 
-def _spectrum_of_coefficients(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, int, float]:
-    """recover_spectrum's root step: fitted coefficients to (values, trimmed degree, sum drift)."""
+def _spectrum_of_coefficients(coeffs: np.ndarray, n: int) -> tuple[Spectrum, int, float]:
+    """recover_spectrum's root step: coefficients to (spectrum, trimmed degree, sum drift)."""
     kept = np.polynomial.polynomial.polytrim(
         coeffs, COEFF_TRIM_TOL * float(np.max(np.abs(coeffs)))
     )
@@ -177,12 +178,10 @@ def _spectrum_of_coefficients(coeffs: np.ndarray, n: int) -> tuple[np.ndarray, i
     shifts = -1.0 / (n * roots.real)
     eigenvalues = np.concatenate([shifts + 1.0 / n, np.full(trimmed, 1.0 / n)])
 
-    clipped = np.clip(eigenvalues, 0.0, 1.0)
-    total = float(np.sum(clipped))
-    if total <= 0.0:
+    spectrum, total = Spectrum._of_estimates(np.sort(eigenvalues)[::-1])
+    if spectrum is None:
         raise DegreeDeficit(tuple(eigenvalues.tolist()))
-    drift = abs(total - 1.0)
-    return np.sort(clipped / total)[::-1], trimmed, drift
+    return spectrum, trimmed, abs(total - 1.0)
 
 
 def _noise_gain(spectrum: Spectrum) -> float:
@@ -216,11 +215,11 @@ def recover_spectrum(oracle: EntropyOracle) -> RecoveredSpectrum:
     largest one (each trimmed degree is an eigenvalue exactly 1/n: a zero
     shift makes its factor the constant 1/n, lowering the polynomial
     degree), roots the remainder via the companion matrix, and maps every
-    root r to the eigenvalue 1/n - 1/(n r). The values are clamped to
-    [0, 1], sorted descending, and renormalized to unit sum.
+    root r to the eigenvalue 1/n - 1/(n r). The values are sorted descending
+    and clamped and renormalized as a state's eigenvalues are.
     """
     n = oracle.dimension
     coeffs, residual = fit_determinant_polynomial(sample_log2_determinant(oracle), n)
-    values, trimmed, drift = _spectrum_of_coefficients(coeffs, n)
-    return RecoveredSpectrum(values=tuple(values.tolist()), residual=residual,
+    spectrum, trimmed, drift = _spectrum_of_coefficients(coeffs, n)
+    return RecoveredSpectrum(values=spectrum.values, residual=residual,
                              trimmed_degree=trimmed, sum_drift=drift)

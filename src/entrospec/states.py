@@ -7,12 +7,10 @@ stores the result as ``eigensystem`` and, clamped and renormalized, as
 Entropies, curves, oracles and the deciders all read that one spectrum,
 and unitary witnesses read the eigenvectors.
 
-``QuantumState(data)`` is the one way to build a state. It builds its
-spectrum on the clamped float64 array itself, and skips the pass of the
-public ``Spectrum(values=...)`` constructor that checks each value is
-finite: values clipped to [0, 1] and divided by their positive sum are
-finite. A sum that is not positive (NaN from a failed solve) raises
-``NotPositiveSemidefinite``, as a solve that LAPACK gives up on does.
+``QuantumState(data)`` is the one way to build a state. One rule turns
+eigenvalue estimates into a spectrum, for a state and for a recovered
+spectrum alike: descending, clamped to [0, 1], divided by their exactly
+rounded sum, with -0.0 made 0.0 (``Spectrum._of_estimates``).
 """
 
 from __future__ import annotations
@@ -57,12 +55,6 @@ class Spectrum:
     values compare and hash equal. Only non-emptiness and finiteness are
     checked (ValueError), not the order or the sum. The values as a float64
     array and their shifts are built once, here, and handed out read-only.
-
-    A ``QuantumState`` builds its spectrum only with ``_of_array``, which
-    skips the finiteness check: its values are eigenvalues clipped to
-    [0, 1] and divided by their sum, which the state has checked is
-    positive, so each is finite by construction. Both paths set the fields
-    in ``_store``.
     """
 
     values: tuple[float, ...]
@@ -78,11 +70,22 @@ class Spectrum:
         self._store(np.array(values, dtype=np.float64))
 
     @classmethod
-    def _of_array(cls, array: np.ndarray) -> Spectrum:
-        """The spectrum on a non-empty, finite float64 array, which it keeps; nothing is checked."""
+    def _of_estimates(cls, estimates: np.ndarray) -> tuple[Spectrum | None, float]:
+        """The spectrum of descending eigenvalue estimates, and their clamped sum.
+
+        A copy is clamped to [0, 1] and divided by its sum, which ``math.fsum``
+        rounds exactly whatever the order; -0.0 becomes 0.0. A sum that is not
+        positive, NaN included, gives None instead, for the caller to refuse.
+        """
+        clamped = estimates.clip(0.0, 1.0)
+        total = math.fsum(clamped.tolist())
+        if not total > 0.0:
+            return None, total
+        clamped /= total
+        clamped += 0.0  # -0.0 becomes 0.0; every other value is unchanged
         spectrum = object.__new__(cls)
-        spectrum._store(array)
-        return spectrum
+        spectrum._store(clamped)
+        return spectrum, total
 
     def _store(self, array: np.ndarray) -> None:
         """Set ``values``, ``_array`` and ``_shifted`` from ``array``, which becomes read-only."""
@@ -121,9 +124,9 @@ class QuantumState:
     columns, both read-only. ``spectrum`` is the eigenvalues clamped to
     [0, 1], which removes the round-off the PSD check bounded by
     ``PSD_TOL``, and renormalized by the clamped sum (at least
-    1 - (n+1) * 1e-9) to an exact unit sum, with -0.0 made 0.0; the order
-    stays descending. A failed solve raises ``NotPositiveSemidefinite``
-    with a NaN smallest eigenvalue.
+    1 - (n+1) * 1e-9), with -0.0 made 0.0; the order stays descending.
+    A failed solve raises ``NotPositiveSemidefinite`` with a NaN smallest
+    eigenvalue.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -165,13 +168,10 @@ class QuantumState:
         values.setflags(write=False)
         vectors.setflags(write=False)
         object.__setattr__(self, "eigensystem", (values, vectors))
-        clamped = values.clip(0.0, 1.0)
-        total = float(np.add.reduce(clamped))
-        if not total > 0.0:  # a NaN above the smallest eigenvalue
+        spectrum, _ = Spectrum._of_estimates(values)
+        if spectrum is None:  # a NaN above the smallest eigenvalue
             raise NotPositiveSemidefinite(math.nan, PSD_TOL)
-        clamped /= total
-        clamped += 0.0  # -0.0 becomes 0.0; every other value is unchanged
-        object.__setattr__(self, "spectrum", Spectrum._of_array(clamped))
+        object.__setattr__(self, "spectrum", spectrum)
 
 
 def validate_state(data) -> QuantumState:

@@ -221,12 +221,10 @@ class TestRecoverSpectrum:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_maximally_mixed_trims_everything(self, n):
         # exact for every n <= 12, as README says; n = 13 raises ComplexRoots.
-        # Exact is n copies of 1/n over their float sum, the state's own
-        # spectrum: 1/n itself but at n = 6 and 7, where the sum is below 1
+        # The exact sum of n copies of 1/n rounds to 1, so exact is 1/n itself
         spectrum = diag_state(*[1.0 / n] * n).spectrum
         result = recover_spectrum(oracle_from_spectrum(spectrum))
-        flat = np.full(n, 1.0 / n)
-        assert result.values == spectrum.values == tuple((flat / flat.sum()).tolist())
+        assert result.values == spectrum.values == (1.0 / n,) * n
         assert result.trimmed_degree == n
         assert result.residual <= 1e-9
 
@@ -328,6 +326,18 @@ class TestRecoverSpectrum:
         with pytest.raises(DegreeDeficit, match="every recovered eigenvalue clipped to zero"):
             recover_spectrum(oracle)
 
+    def test_nan_root_is_rejected(self, monkeypatch):
+        # a NaN root passes the imaginary-part check and every clamp, so the
+        # estimates sum to NaN, which is refused rather than returned as values
+        def polyroots(coeffs):
+            return np.array([complex(math.nan, 0.0)] * (len(coeffs) - 1))
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", polyroots)
+        oracle = oracle_from_spectrum(diag_state(0.75, 0.25).spectrum)
+        with pytest.raises(DegreeDeficit) as info:
+            recover_spectrum(oracle)
+        assert math.isnan(info.value.values[0])
+
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_noise_gain_is_the_recovery_jacobian(n, rng):
@@ -339,7 +349,7 @@ def test_noise_gain_is_the_recovery_jacobian(n, rng):
 
     def fitted_spectrum(samples):
         coeffs, _ = fit_determinant_polynomial(samples, n)
-        return _spectrum_of_coefficients(coeffs, n)[0]
+        return _spectrum_of_coefficients(coeffs, n)[0].as_array()
 
     step = 1e-7
     columns = []

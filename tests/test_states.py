@@ -16,8 +16,10 @@ from entrospec import (
     ValidationError,
     as_complex_matrix,
     depolarize,
+    oracle_from_spectrum,
     random_state,
     random_unitary,
+    recover_spectrum,
 )
 from entrospec import states
 from entrospec.cli import main
@@ -26,7 +28,7 @@ from entrospec.errors import LambdaOutOfRange
 from conftest import diag_state
 
 
-class TestValidateState:
+class TestQuantumStateChecks:
     def test_maximal_mixed_is_valid(self):
         state = QuantumState(np.eye(3) / 3)
         assert state.dimension == 3
@@ -353,13 +355,12 @@ def _spectrum_test_states(n, rng):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_state_spectrum_is_the_public_constructors_bit_for_bit(n, rng):
-    # a state builds its spectrum from its clamped array, skipping the
-    # finiteness pass, and turns -0.0 into 0.0; compared by repr and
-    # bytes, since -0.0 == 0.0
+    # a state divides its clamped eigenvalues by their exactly rounded sum
+    # and turns -0.0 into 0.0; compared by repr and bytes, since -0.0 == 0.0
     for kind, m in _spectrum_test_states(n, rng).items():
         state = QuantumState(m)
         clamped = state.eigensystem[0].clip(0.0, 1.0)
-        public = Spectrum(values=clamped / clamped.sum() + 0.0)
+        public = Spectrum(values=clamped / math.fsum(clamped) + 0.0)
         built = state.spectrum
         assert repr(built.values) == repr(public.values), kind
         assert built.as_array().tobytes() == public.as_array().tobytes(), kind
@@ -368,6 +369,39 @@ def test_state_spectrum_is_the_public_constructors_bit_for_bit(n, rng):
             assert not array.flags.writeable, kind
         assert built == public and hash(built) == hash(public), kind
         assert repr(built) == repr(public), kind
+
+
+def test_one_spectrum_step_per_state_and_per_recovery(rng, monkeypatch):
+    # the state and recovery turn their eigenvalue estimates into a
+    # spectrum through one private step; the public constructor does not
+    calls = []
+    step = Spectrum._of_estimates
+
+    def counting(estimates):
+        calls.append(estimates)
+        return step(estimates)
+
+    monkeypatch.setattr(Spectrum, "_of_estimates", staticmethod(counting))
+    state = random_state(4, rng)
+    assert len(calls) == 1
+    depolarize(state, 0.5)
+    assert len(calls) == 2
+    result = recover_spectrum(oracle_from_spectrum(state.spectrum))
+    assert len(calls) == 3
+    Spectrum(values=result.values)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_maximally_mixed_prints_one_over_n(n, tmp_path, capsys):
+    # the exact sum of n copies of 1/n rounds to 1 at every n here; numpy's
+    # sum of them does not at n = 6, 7, 13..15 and 19..23
+    path = tmp_path / "state.json"
+    zeros = np.zeros((n, n)).tolist()
+    path.write_text(json.dumps({"n": n, "re": (np.eye(n) / n).tolist(), "im": zeros}))
+    assert main(["entropy", str(path)]) == 0
+    printed = json.loads(capsys.readouterr().out)["spectrum"]
+    assert [repr(value) for value in printed] == [repr(1.0 / n)] * n
 
 
 def test_negative_zero_eigenvalues_print_as_zero(tmp_path, capsys):
