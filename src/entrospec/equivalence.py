@@ -173,8 +173,8 @@ def decide_grid(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport:
 def decide_nodes(rho: QuantumState, sigma: QuantumState) -> EquivalenceReport:
     """Equivalence by entropy agreement at the 2n nodes i/(2n).
 
-    Since the node set includes lam = 1, this decider compares the plain
-    entropies of the two states as one of its nodes.
+    The node set includes lam = 1. That node is each curve's value at weight
+    1, which equals ``entropy_of_spectrum`` of the state up to rounding.
     """
     return _decide(rho, sigma, "nodes", default_nodes(rho.dimension))
 

@@ -47,7 +47,7 @@ class NotPositiveSemidefinite(ValidationError):
 
 
 class TraceNotOne(ValidationError):
-    def __init__(self, trace: float, tol: float):
+    def __init__(self, trace: complex, tol: float):
         self.trace = trace
         self.tol = tol
         super().__init__(
@@ -83,15 +83,14 @@ class DimensionMismatch(EntrospecError):
 
 
 class IllConditioned(EntrospecError):
-    """Least-squares fit residual too large to trust the coefficients."""
+    """The fit cannot be trusted. ``residual`` is the number the failed check compared:
+    the held-out residual, against ``bound``, or the sample or coefficient ``reason`` names."""
 
-    def __init__(self, residual: float, bound: float):
+    def __init__(self, residual: float, bound: float, reason: str = ""):
         self.residual = residual
         self.bound = bound
-        super().__init__(
-            f"polynomial fit residual {residual:.3e} exceeds {bound:.1e}; "
-            f"samples are inconsistent with a degree-n determinant curve"
-        )
+        super().__init__(reason or f"polynomial fit residual {residual:.3e} exceeds {bound:.1e}; "
+                         f"samples are inconsistent with a degree-n determinant curve")
 
 
 class ComplexRoots(EntrospecError):
@@ -107,15 +106,14 @@ class ComplexRoots(EntrospecError):
 
 
 class DegreeDeficit(EntrospecError):
-    """Every recovered eigenvalue clipped to zero, leaving nothing to normalize."""
+    """The recovered eigenvalues, clamped to [0, 1], sum to 0.0 or NaN: nothing to normalize."""
 
-    def __init__(self, values: tuple[float, ...]):
+    def __init__(self, values: tuple[float, ...], clamped_sum: float):
         self.values = values
+        self.clamped_sum = clamped_sum
         listed = ", ".join(f"{v:.3e}" for v in values)
-        super().__init__(
-            f"every recovered eigenvalue clipped to zero ({listed}); "
-            f"nothing is left to normalize"
-        )
+        super().__init__(f"recovered eigenvalues ({listed}) clamped to [0, 1] sum to "
+                         f"{clamped_sum!r}; nothing is left to normalize")
 
 
 class ParseError(EntrospecError):

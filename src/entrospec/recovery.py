@@ -134,22 +134,28 @@ def fit_determinant_polynomial(log2_dets: np.ndarray, n: int) -> tuple[np.ndarra
     if log2_dets.shape != _HELD_OUT.shape:
         raise ValueError(f"expected {len(_HELD_OUT)} samples, one per grid row after 0, "
                          f"got shape {log2_dets.shape}")
-    finite = np.isfinite(log2_dets)
-    if not finite.all():
-        raise IllConditioned(float(log2_dets[~finite][0]), FIT_RESIDUAL_BOUND)
+    for row, log2_det in enumerate(log2_dets.tolist(), start=1):
+        if not math.isfinite(log2_det):
+            raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND, f"log2-determinant sample "
+                                 f"{log2_det!r} at grid row {row} is not finite")
 
     # Python's pow, one sample at a time: numpy's power and exp2 differ from
     # it in the last bit on 10651 and 10671 of 200,000 uniform exponents in
     # [-120, 0] (numpy 2.4.6), and vectorizing changed recovered spectra
-    fit_rows = log2_dets[~_HELD_OUT]
+    samples = []
     try:
-        samples = np.array([2.0 ** log2_det for log2_det in fit_rows.tolist()])
+        for log2_det in log2_dets[~_HELD_OUT].tolist():
+            samples.append(2.0 ** log2_det)
     except OverflowError:  # no state's sample does: its log2 det is <= 0
-        raise IllConditioned(float(fit_rows.max()), FIT_RESIDUAL_BOUND) from None
+        row = int(np.flatnonzero(~_HELD_OUT)[len(samples)]) + 1
+        raise IllConditioned(log2_det, FIT_RESIDUAL_BOUND, f"log2-determinant sample "
+                             f"{log2_det!r} at grid row {row} overflows as 2**sample") from None
     vander = np.polynomial.polynomial.polyvander(_FIT_ROWS, n)
-    coeffs, _, _, _ = np.linalg.lstsq(vander, samples, rcond=None)
-    if not np.all(np.isfinite(coeffs)):
-        raise IllConditioned(math.inf, FIT_RESIDUAL_BOUND)
+    coeffs, _, _, _ = np.linalg.lstsq(vander, np.array(samples), rcond=None)
+    for degree, coeff in enumerate(coeffs.tolist()):
+        if not math.isfinite(coeff):
+            raise IllConditioned(coeff, FIT_RESIDUAL_BOUND,
+                                 f"fitted coefficient of degree {degree} is {coeff!r}, not finite")
     coeffs[0] = (1.0 / n) ** n
 
     predicted = np.polynomial.polynomial.polyval(_HELD_OUT_ROWS, coeffs)
@@ -180,7 +186,7 @@ def _spectrum_of_coefficients(coeffs: np.ndarray, n: int) -> tuple[Spectrum, int
 
     spectrum, total = Spectrum._of_estimates(np.sort(eigenvalues)[::-1])
     if spectrum is None:
-        raise DegreeDeficit(tuple(eigenvalues.tolist()))
+        raise DegreeDeficit(tuple(eigenvalues.tolist()), total)
     return spectrum, trimmed, abs(total - 1.0)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,12 +42,7 @@ class PropertyResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _random_dim(rng: np.random.Generator, high: int = 8) -> int:

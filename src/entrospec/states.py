@@ -149,11 +149,10 @@ class QuantumState:
             raise NotHermitian(herm_residual, HERM_TOL)
         m = half + half_adjoint
 
-        # A float sum of the (now real) diagonal overflows without a warning;
-        # the error reports numpy's trace, which sums n >= 4 terms pairwise.
-        if not abs(sum(m.real.diagonal().tolist()) - 1.0) <= TRACE_TOL:
-            with np.errstate(over="ignore", invalid="ignore"):
-                raise TraceNotOne(complex(np.trace(m)), TRACE_TOL)
+        # a float sum of the (now real) diagonal overflows without a warning
+        trace = sum(m.real.diagonal().tolist())
+        if not abs(trace - 1.0) <= TRACE_TOL:
+            raise TraceNotOne(complex(trace), TRACE_TOL)
 
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -174,6 +175,35 @@ class TestFitDeterminantPolynomial:
                 fit_determinant_polynomial(corrupt, 2)
             assert repr(info.value.residual) == repr(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (math.nan, "log2-determinant sample nan at grid row 6 is not finite"),
+            (2000.0, "log2-determinant sample 2000.0 at grid row 6 overflows as 2**sample"),
+        ],
+    )
+    def test_a_refused_sample_is_named_with_its_grid_row(self, bad, message):
+        # -2.0 is I/2's log2 determinant at every row; sample 5 is grid row 6,
+        # which the fit solves on, so 2**2000.0 is taken and overflows
+        samples = np.full(63, -2.0)
+        samples[5] = bad
+        with pytest.raises(IllConditioned) as info:
+            fit_determinant_polynomial(samples, 2)
+        assert str(info.value) == message
+        assert repr(info.value.residual) == repr(bad)
+
+    def test_residual_refusal_text(self):
+        # grid row 8 is held out: its sample, 1.0 above I/2's -2.0, leaves the
+        # fit unchanged and misses its prediction by 1.0
+        samples = np.full(63, -2.0)
+        samples[7] = -1.0
+        with pytest.raises(IllConditioned) as info:
+            fit_determinant_polynomial(samples, 2)
+        assert str(info.value) == (
+            "polynomial fit residual 1.000e+00 exceeds 1.0e-03; "
+            "samples are inconsistent with a degree-n determinant curve"
+        )
+
 
 class TestOneOraclePass:
     """Recovery calls each oracle callable once, on every grid row after 0."""
@@ -310,6 +340,8 @@ class TestRecoverSpectrum:
         with pytest.raises(IllConditioned) as info:
             recover_spectrum(oracle)
         assert info.value.residual == math.inf
+        # which coefficient overflows first is up to the LAPACK build
+        assert re.fullmatch(r"fitted coefficient of degree \d is inf, not finite", str(info.value))
 
     def test_all_clipped_spectrum_is_rejected(self):
         # exact determinant polynomial (1/4)(1 - lam/0.95)(1 - lam/0.98):
@@ -323,7 +355,7 @@ class TestRecoverSpectrum:
             derivative_fn=np.zeros_like,
             dimension=2,
         )
-        with pytest.raises(DegreeDeficit, match="every recovered eigenvalue clipped to zero"):
+        with pytest.raises(DegreeDeficit, match=r"clamped to \[0, 1\] sum to 0\.0; nothing is left"):
             recover_spectrum(oracle)
 
     def test_nan_root_is_rejected(self, monkeypatch):
@@ -337,6 +369,8 @@ class TestRecoverSpectrum:
         with pytest.raises(DegreeDeficit) as info:
             recover_spectrum(oracle)
         assert math.isnan(info.value.values[0])
+        assert math.isnan(info.value.clamped_sum)
+        assert str(info.value).endswith("clamped to [0, 1] sum to nan; nothing is left to normalize")
 
 
 @pytest.mark.parametrize("n", [3, 6])
