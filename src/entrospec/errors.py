@@ -21,8 +21,8 @@ class NotFinite(ValidationError):
         self.first = first
         self.value = value
         super().__init__(
-            f"matrix has {count} non-finite entries; the first is "
-            f"{value!r} at {first}"
+            f"matrix has {count} non-finite {'entry' if count == 1 else 'entries'}; "
+            f"the first is {value!r} at {first}"
         )
 
 

@@ -13,7 +13,7 @@ import pytest
 import entrospec
 from entrospec.cli import main
 
-from conftest import diag_state
+from conftest import diag_state, write_state
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -140,9 +140,9 @@ def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(0)
     state = entrospec.random_state(3, rng)
     u = entrospec.random_unitary(3, rng)
-    entrospec.save_matrix(str(tmp_path / "state.json"), state.matrix)
-    entrospec.save_matrix(str(tmp_path / "a.json"), state.matrix)
-    entrospec.save_matrix(str(tmp_path / "b.json"), u @ state.matrix @ u.conj().T)
+    write_state(tmp_path, "state.json", state.matrix)
+    write_state(tmp_path, "a.json", state.matrix)
+    write_state(tmp_path, "b.json", u @ state.matrix @ u.conj().T)
     monkeypatch.chdir(tmp_path)
     lines = block.strip().splitlines()
     assert lines

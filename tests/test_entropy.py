@@ -15,7 +15,7 @@ from entrospec import (
 from entrospec.entropy import CURVE_GRID, _curve_entropies
 from entrospec.errors import LambdaOutOfRange, SingularEndpoint
 
-from conftest import diag_state
+from conftest import diag_state, refuses
 
 # entropy of the spectrum (3/4, 1/4), written in closed form
 TWO_STATE_ENTROPY = 2.0 - 0.75 * math.log2(3.0)
@@ -76,7 +76,7 @@ class TestEntropyCurveValue:
 
     def test_domain_check(self):
         curve = EntropyCurve(Spectrum(values=(0.5, 0.5)))
-        with pytest.raises(LambdaOutOfRange):
+        with refuses(LambdaOutOfRange, "lambda = 1.5 is outside [0, 1]", lam=1.5):
             curve.value(1.5)
 
     @pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan, math.inf])
@@ -84,7 +84,7 @@ class TestEntropyCurveValue:
     def test_scalar_domain_check(self, method, bad):
         # the three scalar evaluators share one check on the weight
         curve = EntropyCurve(Spectrum(values=(0.75, 0.25)))
-        with pytest.raises(LambdaOutOfRange):
+        with refuses(LambdaOutOfRange, f"lambda = {bad!r} is outside [0, 1]", lam=bad):
             getattr(curve, method)(bad)
 
     @pytest.mark.parametrize("n", [2, 9])
@@ -147,13 +147,12 @@ class TestArrayWeights:
 
         curve = EntropyCurve(Spectrum(values=(1.0, 0.0)))
         for method in self.METHODS:
-            bad = 0.0 if method == "log2_determinant" else 1.5
-            with pytest.raises(LambdaOutOfRange) as info:
+            bad, domain = (0.0, "(0, 1)") if method == "log2_determinant" else (1.5, "[0, 1]")
+            with refuses(LambdaOutOfRange, f"lambda = {bad!r} is outside {domain}", lam=bad):
                 getattr(curve, method)(np.array([0.2, bad, -0.1, 0.5]))
-            assert info.value.lam == bad
-        with pytest.raises(SingularEndpoint) as info:
+        with refuses(SingularEndpoint, "entropy curve derivative is undefined at lambda = 1.0",
+                     lam=1.0):
             curve.derivative(np.array([0.3, 0.9, 1.0]))
-        assert info.value.lam == 1.0
 
 
 class TestPowerSumExpansion:
@@ -228,10 +227,10 @@ class TestEntropyCurveDerivatives:
 
     def test_singular_endpoint_for_rank_deficient_state(self):
         curve = EntropyCurve(Spectrum(values=(1.0, 0.0)))
-        with pytest.raises(SingularEndpoint):
-            curve.derivative(1.0)
-        with pytest.raises(SingularEndpoint):
-            curve.second_derivative(1.0)
+        for method in ("derivative", "second_derivative"):
+            what = "entropy curve " + method.replace("_", " ")
+            with refuses(SingularEndpoint, f"{what} is undefined at lambda = 1.0", lam=1.0):
+                getattr(curve, method)(1.0)
 
     def test_full_rank_state_is_fine_at_weight_one(self):
         curve = EntropyCurve(Spectrum(values=(0.75, 0.25)))
@@ -253,7 +252,7 @@ class TestLog2Determinant:
     @pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, 1.2])
     def test_open_interval_only(self, lam):
         curve = EntropyCurve(Spectrum(values=(0.75, 0.25)))
-        with pytest.raises(LambdaOutOfRange):
+        with refuses(LambdaOutOfRange, f"lambda = {lam!r} is outside (0, 1)", lam=lam):
             curve.log2_determinant(lam)
 
 

@@ -20,7 +20,9 @@ from entrospec.entropy import CURVE_GRID
 from entrospec.equivalence import ENTROPY_TOL, SPECTRUM_TOL, _decide
 from entrospec.errors import DimensionMismatch
 
-from conftest import conjugate, diag_state
+from conftest import conjugate, diag_state, ginibre_matrix, refuses
+
+_MISMATCH = "states live in different dimensions: {} vs {}"
 
 
 class TestDeciderWitness:
@@ -97,7 +99,7 @@ class TestDecideGrid:
         assert gaps[0] < gaps[-1]
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
+        with refuses(DimensionMismatch, _MISMATCH.format(2, 3), n_left=2, n_right=3):
             decide_grid(random_state(2, rng), random_state(3, rng))
 
 
@@ -141,10 +143,10 @@ class TestDecideNodes:
 
     def test_dimension_mismatch(self, rng):
         # the nodes follow the first state's dimension; the check still fires
-        with pytest.raises(DimensionMismatch):
-            decide_nodes(random_state(2, rng), random_state(3, rng))
-        with pytest.raises(DimensionMismatch):
-            decide_nodes(random_state(3, rng), random_state(2, rng))
+        for left, right in ((2, 3), (3, 2)):
+            with refuses(DimensionMismatch, _MISMATCH.format(left, right),
+                         n_left=left, n_right=right):
+                decide_nodes(random_state(left, rng), random_state(right, rng))
 
 
 class TestDecideSpectral:
@@ -177,7 +179,7 @@ class TestDecideSpectral:
         assert decide_spectral(diag_state(0.75, 0.25), offdiag).equivalent
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
+        with refuses(DimensionMismatch, _MISMATCH.format(2, 3), n_left=2, n_right=3):
             decide_spectral(random_state(2, rng), random_state(3, rng))
 
 
@@ -285,7 +287,7 @@ class TestEqualEntropyPair:
         assert float(np.max(np.abs(sa - sb))) <= 1e-12
 
     def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
+        with refuses(ValueError, "matched-entropy construction is defined for n = 2 or 3, got 4"):
             equal_entropy_pair(4)
 
 
@@ -354,12 +356,6 @@ def test_one_spectrum_read_per_state(rng, monkeypatch):
     assert len(built) == 3
 
 
-def _low_rank_state(n, rank, rng):
-    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    m = g @ g.conj().T
-    return QuantumState(m / np.trace(m).real)
-
-
 def _degenerate_state(n, rng):
     # two levels, the larger one repeated: (2, 2, ..., 2, 1) / (2n - 1)
     values = np.full(n, 2.0)
@@ -384,7 +380,7 @@ def test_fused_curve_pass_is_bitwise_two_curve_passes(n, rng):
     # _decide evaluates both curves in one stacked pass; every gap must be
     # the bits of the difference of the scalar EntropyCurve.value at each node
     states = [random_state(n, rng), _degenerate_state(n, rng)]
-    states += [_low_rank_state(n, rank, rng) for rank in (1, 2, 3) if rank <= n]
+    states += [QuantumState(ginibre_matrix(n, rank, rng)) for rank in (1, 2, 3) if rank <= n]
     states.append(conjugate(states[0], random_unitary(n, rng)))
     for nodes in (default_nodes(n), CURVE_GRID[1:]):
         # each state's scalar values, once for all of its pairs

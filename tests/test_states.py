@@ -25,7 +25,7 @@ from entrospec import states
 from entrospec.cli import main
 from entrospec.errors import LambdaOutOfRange
 
-from conftest import diag_state
+from conftest import diag_state, ginibre_matrix, refuses, write_state
 
 
 class TestQuantumStateChecks:
@@ -34,16 +34,19 @@ class TestQuantumStateChecks:
         assert state.dimension == 3
 
     def test_trace_violation(self):
-        with pytest.raises(TraceNotOne):
+        with refuses(TraceNotOne, "trace is (1.1+0j), differs from 1 by more than 1.0e-09",
+                     trace=1.1 + 0j):
             QuantumState(np.diag([0.5, 0.6]))
 
     def test_negative_eigenvalue(self):
-        with pytest.raises(NotPositiveSemidefinite):
+        with refuses(NotPositiveSemidefinite, "matrix is not positive semidefinite: smallest "
+                     "eigenvalue -2.000e-01 is below -1.0e-09", min_eigenvalue=-0.2):
             QuantumState(np.diag([1.2, -0.2]))
 
     def test_not_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]])
-        with pytest.raises(NotHermitian):
+        with refuses(NotHermitian, "matrix is not Hermitian: max |M - M^*| = 5.000e-01 "
+                     "exceeds tolerance 1.0e-10", residual=0.5):
             QuantumState(m)
 
     def test_stored_matrix_is_exactly_symmetrized(self):
@@ -53,7 +56,7 @@ class TestQuantumStateChecks:
         assert np.array_equal(state.matrix, state.matrix.conj().T)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
+        with refuses(ValueError, "expected a non-empty square matrix, got shape (2, 3)"):
             QuantumState(np.ones((2, 3)))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -62,16 +65,17 @@ class TestQuantumStateChecks:
         # the Hermitian, trace and PSD tests
         m = np.eye(3, dtype=np.complex128) / 3
         m[1, 2] = entry
-        with pytest.raises(NotFinite) as info:
+        value = complex(entry)
+        with refuses(NotFinite, f"matrix has 1 non-finite entry; the first is {value!r} at (1, 2)",
+                     count=1, first=(1, 2), value=value) as info:
             QuantumState(m)
         assert isinstance(info.value, ValidationError)
-        assert info.value.count == 1
-        assert info.value.first == (1, 2)
 
     def test_non_finite_check_runs_first(self):
         # also not Hermitian and not of unit trace
         m = np.array([[np.inf, 1.0], [0.0, 5.0]])
-        with pytest.raises(NotFinite):
+        with refuses(NotFinite, "matrix has 1 non-finite entry; the first is (inf+0j) at (0, 0)",
+                     count=1, first=(0, 0)):
             QuantumState(m)
 
     def test_stored_matrix_is_read_only(self):
@@ -103,39 +107,59 @@ def _eigh_does_not_converge() -> np.ndarray:
     return m
 
 
-# Each breaks a density-matrix invariant. The last five are finite, but
-# naive sums, symmetrization or the eigensolver overflow to inf or NaN.
+_NOT_PSD_NAN = "matrix is not positive semidefinite: smallest eigenvalue nan is below -1.0e-09"
+
+# Each breaks a density-matrix invariant: the matrix, the error it raises, its
+# message and the numbers it carries. The last five are finite, but naive
+# sums, symmetrization or the eigensolver overflow to inf or NaN.
 _INVALID_MATRICES = {
-    "nan-entry": np.diag([0.5, np.nan]),
-    "not-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
-    "trace-two": np.eye(2),
-    "negative-eigenvalue": np.diag([2.0, -1.0]),
-    "overflow-trace-zero": np.diag([1e308, -1e308]),
-    "overflow-antisymmetric": np.array([[0.5, 1e308], [-1e308, 0.5]]),
-    "overflow-trace-sum": np.diag([1e308, 1e308, -1e308]),
-    "overflow-modulus": np.array([[0.5, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 0.5]]),
-    "eigh-no-convergence": _eigh_does_not_converge(),
+    "nan-entry": (np.diag([0.5, np.nan]), NotFinite,
+                  "matrix has 1 non-finite entry; the first is (nan+0j) at (1, 1)",
+                  {"count": 1, "first": (1, 1)}),
+    "nan-entries": (np.diag([np.nan, np.nan]), NotFinite,
+                    "matrix has 2 non-finite entries; the first is (nan+0j) at (0, 0)",
+                    {"count": 2, "first": (0, 0)}),
+    "not-hermitian": (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian,
+                      "matrix is not Hermitian: max |M - M^*| = 5.000e-01 exceeds tolerance "
+                      "1.0e-10", {"residual": 0.5}),
+    "trace-two": (np.eye(2), TraceNotOne, "trace is (2+0j), differs from 1 by more than 1.0e-09",
+                  {"trace": 2 + 0j}),
+    "negative-eigenvalue": (np.diag([2.0, -1.0]), NotPositiveSemidefinite,
+                            "matrix is not positive semidefinite: smallest eigenvalue -1.000e+00 "
+                            "is below -1.0e-09", {"min_eigenvalue": -1.0}),
+    "overflow-trace-zero": (np.diag([1e308, -1e308]), TraceNotOne,
+                            "trace is 0j, differs from 1 by more than 1.0e-09", {"trace": 0j}),
+    "overflow-antisymmetric": (np.array([[0.5, 1e308], [-1e308, 0.5]]), NotHermitian,
+                               "matrix is not Hermitian: max |M - M^*| = inf exceeds tolerance "
+                               "1.0e-10", {"residual": math.inf}),
+    "overflow-trace-sum": (np.diag([1e308, 1e308, -1e308]), TraceNotOne,
+                           "trace is (inf+0j), differs from 1 by more than 1.0e-09",
+                           {"trace": complex(math.inf, 0.0)}),
+    "overflow-modulus": (np.array([[0.5, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 0.5]]),
+                         NotPositiveSemidefinite, _NOT_PSD_NAN, {"min_eigenvalue": math.nan}),
+    "eigh-no-convergence": (_eigh_does_not_converge(), NotPositiveSemidefinite, _NOT_PSD_NAN,
+                            {"min_eigenvalue": math.nan}),
 }
 
 
 class TestCheckedConstructor:
     @pytest.mark.parametrize("name", list(_INVALID_MATRICES))
     def test_every_path_to_a_state_checks(self, name, tmp_path, capsys):
-        m = _INVALID_MATRICES[name]
+        m, error, text, carried = _INVALID_MATRICES[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError) as checked:
+            with refuses(error, text, **carried):
                 QuantumState(m)
             # the benchmark's name for the constructor refuses alike
-            with pytest.raises(ValidationError) as shim:
+            with refuses(error, text, **carried):
                 states.validate_state(m)
-            assert type(shim.value) is type(checked.value)
             path = tmp_path / "state.json"
-            # json writes NaN as a bare token, which the parser rejects
             path.write_text(json.dumps({"n": len(m), "re": m.real.tolist(), "im": m.imag.tolist()}))
             assert main(["entropy", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("entrospec:") and "Traceback" not in err
+        if error is NotFinite:  # json writes NaN as a bare token, which the parser refuses
+            row, column = carried["first"]
+            text = f"field 're', row {row}, column {column}: non-finite or out-of-range value"
+        assert capsys.readouterr().err == f"entrospec: {text}\n"
 
     def test_trace_error_reads_as_before(self):
         with pytest.raises(TraceNotOne) as exc:
@@ -167,7 +191,7 @@ class TestCheckedConstructor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error) as exc:
-                QuantumState(_INVALID_MATRICES[name])
+                QuantumState(_INVALID_MATRICES[name][0])
         assert type(exc.value) is error
         # repr, so that nan matches nan and the printed form is pinned too
         assert repr(getattr(exc.value, field)) == repr(value)
@@ -182,10 +206,8 @@ class TestCheckedConstructor:
             return np.array([0.0, np.nan]), np.eye(2, dtype=np.complex128)
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        with pytest.raises(NotPositiveSemidefinite) as exc:
+        with refuses(NotPositiveSemidefinite, _NOT_PSD_NAN, min_eigenvalue=math.nan):
             QuantumState(np.eye(2) / 2)
-        assert math.isnan(exc.value.min_eigenvalue)
-        assert "smallest eigenvalue nan" in str(exc.value)
 
     def test_dimension_comes_from_the_matrix(self):
         state = QuantumState(np.eye(3) / 3)
@@ -334,20 +356,15 @@ class TestStateSpectrum:
 
 def _spectrum_test_states(n, rng):
     """Full rank, rank 1, rank 2, I/n and diagonal states with exact zeros of each sign."""
-    def of_rank(rank):
-        g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-        m = g @ g.conj().T
-        return m / np.trace(m).real
-
     diagonal = np.arange(n, 0, -1, dtype=np.float64)
     diagonal[1::2] = 0.0
     diagonal /= diagonal.sum()
     # a -0.0 diagonal entry gives a -0.0 eigenvalue, whose sign clip and
     # np.maximum do not treat alike
     return {
-        "full-rank": of_rank(n),
-        "rank-1": of_rank(1),
-        "rank-2": of_rank(min(2, n)),
+        "full-rank": ginibre_matrix(n, n, rng),
+        "rank-1": ginibre_matrix(n, 1, rng),
+        "rank-2": ginibre_matrix(n, min(2, n), rng),
         "maximally-mixed": np.eye(n) / n,
         "diagonal-zeros": np.diag(diagonal),
         "diagonal-negative-zeros": np.diag(np.where(diagonal == 0.0, -0.0, diagonal)),
@@ -397,10 +414,7 @@ def test_one_spectrum_step_per_state_and_per_recovery(rng, monkeypatch):
 def test_maximally_mixed_prints_one_over_n(n, tmp_path, capsys):
     # the exact sum of n copies of 1/n rounds to 1 at every n here; numpy's
     # sum of them does not at n = 6, 7, 13..15 and 19..23
-    path = tmp_path / "state.json"
-    zeros = np.zeros((n, n)).tolist()
-    path.write_text(json.dumps({"n": n, "re": (np.eye(n) / n).tolist(), "im": zeros}))
-    assert main(["entropy", str(path)]) == 0
+    assert main(["entropy", write_state(tmp_path, "state.json", np.eye(n) / n)]) == 0
     printed = json.loads(capsys.readouterr().out)["spectrum"]
     assert [repr(value) for value in printed] == [repr(1.0 / n)] * n
 
@@ -411,9 +425,7 @@ def test_negative_zero_eigenvalues_print_as_zero(tmp_path, capsys):
     paths = []
     for zero in (-0.0, 0.0):
         m = np.diag([2.0 / 3.0, 1.0 / 3.0, zero, zero])
-        path = tmp_path / f"{zero}.json"
-        path.write_text(json.dumps({"n": 4, "re": m.tolist(), "im": np.zeros((4, 4)).tolist()}))
-        paths.append(str(path))
+        paths.append(write_state(tmp_path, f"{zero}.json", m))
     assert main(["entropy", paths[0]]) == 0
     # repr, since -0.0 == 0.0
     assert repr(json.loads(capsys.readouterr().out)["spectrum"][2:]) == "[0.0, 0.0]"
@@ -444,7 +456,7 @@ class TestRandomState:
         assert not np.array_equal(a, b)
 
     def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
+        with refuses(ValueError, "dimension must be positive, got 0"):
             random_state(0, np.random.default_rng(0))
 
 
@@ -469,7 +481,7 @@ class TestRandomUnitary:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_nonpositive_dimension(self, n):
-        with pytest.raises(ValueError):
+        with refuses(ValueError, f"dimension must be positive, got {n}"):
             random_unitary(n, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", range(1, 17))
@@ -500,7 +512,7 @@ class TestDepolarize:
 
     @pytest.mark.parametrize("lam", [-0.1, 1.1])
     def test_rejects_out_of_range(self, lam, rng):
-        with pytest.raises(LambdaOutOfRange):
+        with refuses(LambdaOutOfRange, f"lambda = {lam!r} is outside [0, 1]", lam=lam):
             depolarize(random_state(2, rng), lam)
 
 
@@ -519,15 +531,14 @@ def test_as_complex_matrix_accepts_lists():
 
 
 def test_as_complex_matrix_rejects_vector():
-    with pytest.raises(ValueError):
+    with refuses(ValueError, "expected a non-empty square matrix, got shape (2,)"):
         as_complex_matrix([1.0, 2.0])
 
 
 def test_as_complex_matrix_rejects_empty():
-    with pytest.raises(ValueError, match="square matrix"):
-        as_complex_matrix(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="square matrix"):
-        QuantumState(np.zeros((0, 0)))
+    for build in (as_complex_matrix, QuantumState):
+        with refuses(ValueError, "expected a non-empty square matrix, got shape (0, 0)"):
+            build(np.zeros((0, 0)))
 
 
 def test_spectrum_value_access():
@@ -568,11 +579,11 @@ def test_spectrum_stores_values_as_a_float_tuple(make):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_spectrum_rejects_non_finite_values(bad):
-    with pytest.raises(ValueError, match="finite"):
+    with refuses(ValueError, f"spectrum values must be finite, got ({bad!r}, 1.0)"):
         Spectrum(values=(bad, 1.0))
 
 
 def test_spectrum_rejects_empty_values():
     # unchecked, the flat-spectrum shift divides by zero in every curve
-    with pytest.raises(ValueError, match="at least one value"):
+    with refuses(ValueError, "spectrum must have at least one value"):
         Spectrum(values=())
